@@ -80,7 +80,7 @@ func main() {
 		len(clean), len(al), 100*float64(len(al))/float64(p.Hitlist().Len()))
 
 	if *murdock {
-		md := apd.NewMurdockDetector(p.World)
+		md := apd.NewMurdockDetector(p.World, p.Cfg.Workers)
 		cands := md.Candidates(p.Hitlist().Sorted())
 		verdicts := md.Detect(cands, day)
 		fmt.Printf("\nMurdock /96 baseline: %d candidates, %d aliased, %d probes\n",

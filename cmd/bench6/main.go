@@ -88,20 +88,27 @@ func main() {
 			rep.SweepTargets = len(s.Addrs)
 		}
 		t0 = time.Now()
-		eps := p.RunDays(p.World.Horizon(), *days)
+		var first, last *core.Epoch
+		epochs := 0
+		p.RunDaysFunc(p.World.Horizon(), *days, func(e *core.Epoch) {
+			if first == nil {
+				first = e
+			}
+			last = e
+			epochs++
+		})
 		dt := time.Since(t0).Seconds()
 		name := fmt.Sprintf("orchestrated depth %d", depth)
 		if depth == 1 {
 			name = "serial day loop"
 			serial = dt
 		}
-		last := eps[len(eps)-1]
 		r := run{
 			Name:        name,
 			Overlap:     depth,
 			Seconds:     dt,
-			Epochs:      len(eps),
-			Day0Cands:   len(eps[0].Candidates),
+			Epochs:      epochs,
+			Day0Cands:   len(first.Candidates),
 			FinalCands:  len(last.Candidates),
 			CleanFinal:  len(last.CleanTargets()),
 			APDProbes:   p.APDProbesSent(),

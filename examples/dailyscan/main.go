@@ -16,9 +16,7 @@ func main() {
 	p := core.New(core.TestConfig())
 	p.Collect()
 	day0 := p.World.Horizon()
-	for d := 0; d < p.Cfg.APDWindow; d++ {
-		p.RunAPD(day0 + d)
-	}
+	p.RunDaysFunc(day0, p.Cfg.APDWindow, nil)
 	targets := p.CleanTargets()
 	fmt.Printf("curated hitlist: %d targets\n\n", len(targets))
 

@@ -23,9 +23,7 @@ func main() {
 	// 3. Multi-level aliased prefix detection with a 3-day sliding
 	// window; day numbering continues after the collection horizon.
 	day := p.World.Horizon()
-	for d := 0; d < p.Cfg.APDWindow; d++ {
-		p.RunAPD(day + d)
-	}
+	p.RunDaysFunc(day, p.Cfg.APDWindow, nil)
 	clean := p.CleanTargets()
 	fmt.Printf("after de-aliasing: %d targets (%d aliased prefixes)\n",
 		len(clean), len(p.Filter().AliasedPrefixes()))

@@ -16,9 +16,7 @@ func main() {
 	p := core.New(core.TestConfig())
 	p.Collect()
 	day := p.World.Horizon()
-	for d := 0; d < p.Cfg.APDWindow; d++ {
-		p.RunAPD(day + d)
-	}
+	p.RunDaysFunc(day, p.Cfg.APDWindow, nil)
 
 	// Walk the reverse tree. The query counter shows why the paper calls
 	// this source "semi-public": enumeration costs real DNS traffic.

@@ -18,9 +18,7 @@ func main() {
 	p := core.New(core.TestConfig())
 	p.Collect()
 	day := p.World.Horizon()
-	for d := 0; d < p.Cfg.APDWindow; d++ {
-		p.RunAPD(day + d)
-	}
+	p.RunDaysFunc(day, p.Cfg.APDWindow, nil)
 
 	// Seeds: non-aliased addresses, split by AS (§7.1: aliased prefixes
 	// would artificially inflate response rates).

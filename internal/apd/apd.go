@@ -98,7 +98,7 @@ const AllBranches BranchMask = 1<<Branches - 1
 func (m BranchMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Detector runs APD probing rounds. A Detector is not safe for
-// concurrent ProbeDay calls (it accumulates ProbesSent and a fan-out
+// concurrent ProbeDayFlat calls (it accumulates ProbesSent and a fan-out
 // cache); each call parallelizes internally across protocols × worker
 // shards.
 type Detector struct {
@@ -123,16 +123,10 @@ type Detector struct {
 	ProbesSent int
 }
 
-// NewDetector builds a detector over a responder with the default worker
-// count. Protocols defaults to ICMPv6+TCP/80.
-func NewDetector(r wire.Responder, protocols ...wire.Proto) *Detector {
-	return NewDetectorWorkers(r, 0, protocols...)
-}
-
-// NewDetectorWorkers builds a detector with an explicit per-protocol
-// worker-shard count (<= 0 selects the default of 8). This is how the
-// pipeline plumbs its configured concurrency through; NewDetector exists
-// for callers that don't care.
+// NewDetectorWorkers builds a detector over a responder with an explicit
+// per-protocol worker-shard count (<= 0 selects the default of 8) — how
+// the pipeline plumbs its configured concurrency through. Protocols
+// defaults to ICMPv6+TCP/80.
 func NewDetectorWorkers(r wire.Responder, workers int, protocols ...wire.Proto) *Detector {
 	if len(protocols) == 0 {
 		protocols = DefaultProtocols
@@ -166,8 +160,7 @@ func (d *Detector) Workers() int { return d.workers }
 // prefix, so the batch responder resolves long runs of targets against one
 // aliased region instead of walking a trie per probe. All protocols scan
 // concurrently; the mask fold is sharded over candidates after the
-// barrier. Results are identical to the per-probe protocol-by-protocol
-// merge.
+// barrier. Results are identical for every worker count.
 func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 	// Flatten: 16 targets per candidate, probe once per protocol.
 	if d.fanCache == nil {
@@ -228,17 +221,6 @@ func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 		wg.Wait()
 	}
 	return flat
-}
-
-// ProbeDay is ProbeDayFlat with the masks assembled into a per-prefix
-// map, duplicate candidate prefixes OR-merged.
-func (d *Detector) ProbeDay(cands []Candidate, day int) map[ip6.Prefix]BranchMask {
-	flat := d.ProbeDayFlat(cands, day)
-	masks := make(map[ip6.Prefix]BranchMask, len(cands))
-	for ci, c := range cands {
-		masks[c.Prefix] |= flat[ci]
-	}
-	return masks
 }
 
 // NestedCase classifies a (more specific, less specific) candidate pair

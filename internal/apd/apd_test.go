@@ -83,7 +83,7 @@ func TestHitlistCandidates(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		addrs = append(addrs, sparse.NthAddr(i<<32))
 	}
-	set := ip6.NewShardSet(len(addrs))
+	set := ip6.NewShardSetWorkers(len(addrs), 0)
 	set.AddSlice(addrs)
 	cands := HitlistCandidates(set, 100)
 	byPrefix := map[ip6.Prefix]int{}
@@ -134,12 +134,12 @@ func TestDetectAliasedRegion(t *testing.T) {
 		t.Fatal("no non-aliased server")
 	}
 
-	det := NewDetector(world)
-	masks := det.ProbeDay([]Candidate{{Prefix: region}, {Prefix: server64}}, 1)
-	if m := masks[region]; m != AllBranches {
+	det := NewDetectorWorkers(world, 0)
+	masks := det.ProbeDayFlat([]Candidate{{Prefix: region}, {Prefix: server64}}, 1)
+	if m := masks[0]; m != AllBranches {
 		t.Errorf("aliased region mask = %016b (%d branches)", m, m.Count())
 	}
-	if m := masks[server64]; m == AllBranches {
+	if m := masks[1]; m == AllBranches {
 		t.Errorf("server /64 classified aliased")
 	}
 	if det.ProbesSent != 2*2*Branches {
@@ -162,14 +162,14 @@ func TestCrossProtocolMergingHelps(t *testing.T) {
 		t.Fatal("no rate-limited region")
 	}
 	cands := []Candidate{{Prefix: region}}
-	merged := NewDetector(world) // ICMP + TCP80
-	icmpOnly := NewDetector(world, wire.ICMPv6)
+	merged := NewDetectorWorkers(world, 0) // ICMP + TCP80
+	icmpOnly := NewDetectorWorkers(world, 0, wire.ICMPv6)
 	mergedHits, icmpHits := 0, 0
 	for day := 0; day < 8; day++ {
-		if merged.ProbeDay(cands, day)[region] == AllBranches {
+		if merged.ProbeDayFlat(cands, day)[0] == AllBranches {
 			mergedHits++
 		}
-		if icmpOnly.ProbeDay(cands, day)[region] == AllBranches {
+		if icmpOnly.ProbeDayFlat(cands, day)[0] == AllBranches {
 			icmpHits++
 		}
 	}
@@ -185,25 +185,32 @@ func TestSlidingWindowReducesInstability(t *testing.T) {
 	for _, r := range world.AliasedRegions() {
 		cands = append(cands, Candidate{Prefix: r.Prefix})
 	}
-	det := NewDetector(world)
-	var hist History
-	for day := 0; day < 10; day++ {
-		hist.Add(det.ProbeDay(cands, day))
+	det := NewDetectorWorkers(world, 0)
+	table := NewCandidateTable(cands)
+	ids := make([]int32, len(cands))
+	for i := range ids {
+		ids[i] = table.EntryID(i)
 	}
+	var hist History
+	hist.Bind(table)
+	for day := 0; day < 10; day++ {
+		hist.AddIDs(ids, det.ProbeDayFlat(cands, day))
+	}
+	unstable := func(w int) int { return hist.UnstablePrefixes(w, 4) }
 	prev := -1
 	for w := 0; w <= 5; w++ {
-		u := hist.UnstablePrefixes(w)
+		u := unstable(w)
 		if prev >= 0 && u > prev+2 { // weak monotonicity with small slack
 			t.Errorf("window %d: unstable %d > window %d: %d", w, u, w-1, prev)
 		}
 		prev = u
 	}
-	if hist.UnstablePrefixes(0) <= hist.UnstablePrefixes(3) {
+	if unstable(0) <= unstable(3) {
 		// The whole point: window 3 strictly better than none, unless
 		// the world is perfectly stable already.
-		if hist.UnstablePrefixes(0) != 0 {
+		if unstable(0) != 0 {
 			t.Errorf("window 3 (%d) not better than window 0 (%d)",
-				hist.UnstablePrefixes(3), hist.UnstablePrefixes(0))
+				unstable(3), unstable(0))
 		}
 	}
 }
@@ -211,9 +218,9 @@ func TestSlidingWindowReducesInstability(t *testing.T) {
 func TestHistoryMerging(t *testing.T) {
 	p := ip6.MustParsePrefix("2001:db8::/64")
 	var h History
-	h.Add(map[ip6.Prefix]BranchMask{p: 0x00ff})
-	h.Add(map[ip6.Prefix]BranchMask{p: 0xff00})
-	h.Add(map[ip6.Prefix]BranchMask{p: 0x0001})
+	addMap(&h, map[ip6.Prefix]BranchMask{p: 0x00ff})
+	addMap(&h, map[ip6.Prefix]BranchMask{p: 0xff00})
+	addMap(&h, map[ip6.Prefix]BranchMask{p: 0x0001})
 	if m := h.MergedAt(p, 2, 1); m != 0x0001 {
 		t.Errorf("window 1 mask = %04x", m)
 	}
@@ -227,11 +234,11 @@ func TestHistoryMerging(t *testing.T) {
 	if m := h.MergedAt(p, 2, 0); m != 0x0001 {
 		t.Errorf("window 0 mask = %04x", m)
 	}
-	al := h.AliasedAt(2, 3)
+	al := h.AliasedAt(2, 3, 1)
 	if !al[p] {
 		t.Error("prefix should be aliased with window 3")
 	}
-	if len(h.AliasedAt(2, 1)) != 0 {
+	if len(h.AliasedAt(2, 1, 1)) != 0 {
 		t.Error("window 1 should not alias")
 	}
 	if h.Len() != 3 {
@@ -250,7 +257,7 @@ func TestWindowLengthRegression(t *testing.T) {
 	// number of days merged.
 	const days = 10
 	for i := 0; i < days; i++ {
-		h.Add(map[ip6.Prefix]BranchMask{p: 1 << i})
+		addMap(&h, map[ip6.Prefix]BranchMask{p: 1 << i})
 	}
 	for w := 1; w <= 5; w++ {
 		if got := h.MergedAt(p, days-1, w).Count(); got != w {
@@ -337,7 +344,7 @@ func TestMurdockBaseline(t *testing.T) {
 		smallAddrs = append(smallAddrs, small.RandomAddr(rng))
 	}
 	addrs = append(addrs, smallAddrs...)
-	md := NewMurdockDetector(world)
+	md := NewMurdockDetector(world, 0)
 	cands := md.Candidates(addrs)
 	verdicts := md.Detect(cands, 1)
 	f := MurdockFilter(verdicts)
@@ -360,12 +367,12 @@ func TestMurdockBaseline(t *testing.T) {
 		t.Error("probe accounting broken")
 	}
 	// Multi-level APD catches the /112 via hitlist candidates.
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	hlCands := HitlistCandidatesAddrs(addrs, 100)
-	masks := det.ProbeDay(hlCands, 1)
+	masks := det.ProbeDayFlat(hlCands, 1)
 	found := false
-	for p, m := range masks {
-		if small.ContainsPrefix(p) && m == AllBranches {
+	for i, m := range masks {
+		if small.ContainsPrefix(hlCands[i].Prefix) && m == AllBranches {
 			found = true
 		}
 	}
@@ -389,7 +396,7 @@ func TestHitlistCandidatesSetMatchesSlice(t *testing.T) {
 	for i := uint64(0); i < 300; i++ {
 		addrs = append(addrs, dense.NthAddr(i))
 	}
-	set := ip6.NewShardSet(len(addrs))
+	set := ip6.NewShardSetWorkers(len(addrs), 0)
 	set.AddSlice(addrs)
 	// The slice path must dedup like the set does to compare counts.
 	fromSlice := HitlistCandidatesAddrs(set.Sorted(), 100)
@@ -441,27 +448,28 @@ func TestFanOutSeedCollision(t *testing.T) {
 }
 
 // TestDetectorWorkers pins the worker plumbing and the engine contract at
-// the detector level: ProbeDay results are identical for any worker count.
+// the detector level: ProbeDayFlat results are identical for any worker
+// count.
 func TestDetectorWorkers(t *testing.T) {
 	if NewDetectorWorkers(world, 3).Workers() != 3 {
 		t.Error("explicit worker count not plumbed through")
 	}
-	if NewDetector(world).Workers() != 8 {
+	if NewDetectorWorkers(world, 0).Workers() != 8 {
 		t.Error("default worker count changed")
 	}
 	var cands []Candidate
 	for _, r := range world.AliasedRegions() {
 		cands = append(cands, Candidate{Prefix: r.Prefix})
 	}
-	ref := NewDetectorWorkers(world, 1).ProbeDay(cands, 2)
+	ref := NewDetectorWorkers(world, 1).ProbeDayFlat(cands, 2)
 	for _, workers := range []int{4, 16} {
-		got := NewDetectorWorkers(world, workers).ProbeDay(cands, 2)
+		got := NewDetectorWorkers(world, workers).ProbeDayFlat(cands, 2)
 		if len(got) != len(ref) {
 			t.Fatalf("workers=%d: %d masks, want %d", workers, len(got), len(ref))
 		}
-		for p, m := range ref {
-			if got[p] != m {
-				t.Errorf("workers=%d: mask for %v = %016b, want %016b", workers, p, got[p], m)
+		for i, m := range ref {
+			if got[i] != m {
+				t.Errorf("workers=%d: mask for %v = %016b, want %016b", workers, cands[i].Prefix, got[i], m)
 			}
 		}
 	}
@@ -481,9 +489,9 @@ func BenchmarkProbeDay(b *testing.B) {
 	for _, r := range world.AliasedRegions() {
 		cands = append(cands, Candidate{Prefix: r.Prefix})
 	}
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.ProbeDay(cands, i)
+		det.ProbeDayFlat(cands, i)
 	}
 }

@@ -1,8 +1,6 @@
 package apd
 
 import (
-	"sort"
-
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 )
@@ -24,17 +22,6 @@ type Candidate struct {
 // ever materialized.
 func HitlistCandidates(set *ip6.ShardSet, minTargets int) []Candidate {
 	return CandidatesFromSorted(set.SortedSeq(), minTargets)
-}
-
-// HitlistCandidatesAddrs is HitlistCandidates over a plain address slice
-// (Murdock comparisons, ad-hoc target lists); the slice is copied, sorted
-// and fed through the same run-boundary scan. Duplicate addresses count
-// once per occurrence, as in the original bucketing path.
-func HitlistCandidatesAddrs(addrs []ip6.Addr, minTargets int) []Candidate {
-	sorted := make([]ip6.Addr, len(addrs))
-	copy(sorted, addrs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	return CandidatesFromSorted(ip6.Addrs(sorted), minTargets)
 }
 
 // CandidatesFromSorted derives the multi-level candidate set from an

@@ -88,12 +88,12 @@ func BenchmarkWindowMerge(b *testing.B) {
 	var h History
 	var ref legacyHistory
 	for _, d := range days {
-		h.Add(d)
+		addMap(&h, d)
 		ref.Add(d)
 	}
 	b.Run("columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			h.UnstablePrefixes(3)
+			h.UnstablePrefixes(3, runtime.GOMAXPROCS(0))
 		}
 	})
 	b.Run("legacy-map", func(b *testing.B) {

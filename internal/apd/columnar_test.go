@@ -206,7 +206,7 @@ func TestHistoryMatchesMapReference(t *testing.T) {
 		var h History
 		var ref legacyHistory
 		for _, d := range days {
-			h.Add(d)
+			addMap(&h, d)
 			ref.Add(d)
 		}
 		if h.Len() != ref.Len() {
@@ -220,11 +220,11 @@ func TestHistoryMatchesMapReference(t *testing.T) {
 					}
 				}
 			}
-			if got, want := h.UnstablePrefixes(w), ref.UnstablePrefixes(w); got != want {
+			if got, want := h.UnstablePrefixes(w, 4), ref.UnstablePrefixes(w); got != want {
 				t.Fatalf("trial %d: UnstablePrefixes(%d) = %d, legacy %d", trial, w, got, want)
 			}
 			for di := 0; di < len(days); di++ {
-				got := h.AliasedAt(di, w)
+				got := h.AliasedAt(di, w, 4)
 				want := ref.aliasedAtUnion(di, w)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d: AliasedAt(%d,%d) size %d, union reference %d", trial, di, w, len(got), len(want))
@@ -250,7 +250,7 @@ func TestHistoryMatchesMapReference(t *testing.T) {
 			di := len(days) - 1
 			col := h.MergedColumn(di, 3, workers)
 			for _, p := range prefixes {
-				id, ok := h.ids[p]
+				id, ok := h.idOf(p)
 				if !ok {
 					continue
 				}
@@ -273,9 +273,9 @@ func TestAliasedAtNarrowedWindowUnion(t *testing.T) {
 	day0 := map[ip6.Prefix]BranchMask{p: AllBranches, q: 0x1}
 	day1 := map[ip6.Prefix]BranchMask{q: 0x2} // p narrowed out on day 1
 	var h History
-	h.Add(day0)
-	h.Add(day1)
-	al := h.AliasedAt(1, 2)
+	addMap(&h, day0)
+	addMap(&h, day1)
+	al := h.AliasedAt(1, 2, 1)
 	if !al[p] {
 		t.Error("prefix aliased within the window but absent from the narrowed day was dropped")
 	}
@@ -283,7 +283,7 @@ func TestAliasedAtNarrowedWindowUnion(t *testing.T) {
 		t.Error("q never reached all branches")
 	}
 	// A single-day window genuinely excludes the absent prefix.
-	if len(h.AliasedAt(1, 1)) != 0 {
+	if len(h.AliasedAt(1, 1, 1)) != 0 {
 		t.Error("single-day window must not see day 0")
 	}
 	// The retired implementation exhibits the bug (the reason this test
@@ -328,7 +328,7 @@ func TestCandidateTable(t *testing.T) {
 }
 
 // TestHistoryBindAddIDs pins the pipeline's columnar day path (Bind +
-// AddIDs over narrowed ID subsets) against the map-based Add path.
+// AddIDs over narrowed ID subsets) against the retired map store.
 func TestHistoryBindAddIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	verdicts := randomVerdicts(rng, 60)
@@ -380,7 +380,7 @@ func TestHistoryBindAddIDs(t *testing.T) {
 			}
 		}
 	}
-	if got, want := h.UnstablePrefixes(2), ref.UnstablePrefixes(2); got != want {
+	if got, want := h.UnstablePrefixes(2, 4), ref.UnstablePrefixes(2); got != want {
 		t.Fatalf("UnstablePrefixes = %d, map path %d", got, want)
 	}
 	// ORDayInto accumulates exactly the per-day OR.

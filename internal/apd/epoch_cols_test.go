@@ -22,7 +22,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 	days := randomDays(rng, prefixes, 6)
 	var h History
 	for _, d := range days {
-		h.Add(d)
+		addMap(&h, d)
 	}
 	nIDs := len(h.prefixes)
 
@@ -33,7 +33,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 		t.Fatalf("Column width %d, want %d", col.Width(), nIDs)
 	}
 	for _, p := range prefixes {
-		id, ok := h.ids[p]
+		id, ok := h.idOf(p)
 		if !ok {
 			continue
 		}
@@ -72,7 +72,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 
 	// Appending later days must not disturb any pinned snapshot.
 	for _, d := range randomDays(rng, prefixes, 4) {
-		h.Add(d)
+		addMap(&h, d)
 	}
 	for _, pn := range pins {
 		got := MergeColumns(pn.cols, nIDs, 4)

@@ -1,8 +1,8 @@
 package apd
 
 import (
+	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,25 +14,16 @@ import (
 // columnar form: every distinct prefix has a stable integer ID, and each
 // day stores one []BranchMask column indexed by ID plus a presence bitmap
 // marking the IDs actually probed that day (later days are narrowed to
-// near-aliased candidates). Window evaluation — MergedAt, MergedColumn,
-// AliasedAt, UnstablePrefixes — is therefore array OR-scans over the day
-// columns instead of per-prefix map probes, and the whole-window metrics
-// fan out over chunk-parallel workers.
+// near-aliased candidates). Window evaluation — MergeColumns over
+// WindowColumns, ORDayInto, UnstablePrefixes — is therefore array
+// OR-scans over the day columns instead of per-prefix map probes, and
+// the whole-window metrics fan out over chunk-parallel workers.
 //
-// IDs are assigned by Bind (adopting a CandidateTable's ID space) or
-// lazily by Add, which registers a day's unseen prefixes in sorted order
-// so the assignment never depends on map iteration. The zero value is an
-// empty history ready to use.
+// IDs come from Bind, which adopts a CandidateTable's ID space. The zero
+// value is an empty history ready to Bind.
 type History struct {
-	ids      map[ip6.Prefix]int32
-	prefixes []ip6.Prefix
+	prefixes []ip6.Prefix // the bound table's ID → prefix column, shared
 	days     []dayColumn
-
-	// forceDense disables the sparse column representation — the memory-
-	// audit baseline knob of the scale benchmarks, and the reference the
-	// sparse/dense equivalence tests compare against. Results are
-	// identical either way; only the footprint differs.
-	forceDense bool
 }
 
 // dayColumn is one day's observation in one of two layouts, chosen per
@@ -110,26 +101,36 @@ func (c *dayColumn) orInto(dst []BranchMask, lo, hi int) {
 // entries that share an ID (duplicate candidate prefixes), in the layout
 // sparseWorthIt picks for the probed count. The result is a pure function
 // of the observation multiset — input order never shows.
-func makeColumn(ids []int32, masks []BranchMask, width int, forceDense bool) dayColumn {
-	if !forceDense && sparseWorthIt(len(ids), width) {
-		// Sort (id, mask) pairs by ID and OR-merge duplicates.
-		ord := make([]int, len(ids))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
-		sids := make([]int32, 0, len(ids))
-		sm := make([]BranchMask, 0, len(ids))
-		for _, i := range ord {
-			if n := len(sids); n > 0 && sids[n-1] == ids[i] {
-				sm[n-1] |= masks[i]
-				continue
-			}
-			sids = append(sids, ids[i])
-			sm = append(sm, masks[i])
-		}
-		return dayColumn{ids: sids, sm: sm, width: width}
+func makeColumn(ids []int32, masks []BranchMask, width int) dayColumn {
+	if sparseWorthIt(len(ids), width) {
+		return sparseColumn(ids, masks, width)
 	}
+	return denseColumn(ids, masks, width)
+}
+
+// sparseColumn sorts the (id, mask) pairs by ID and OR-merges duplicates.
+func sparseColumn(ids []int32, masks []BranchMask, width int) dayColumn {
+	ord := make([]int, len(ids))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
+	sids := make([]int32, 0, len(ids))
+	sm := make([]BranchMask, 0, len(ids))
+	for _, i := range ord {
+		if n := len(sids); n > 0 && sids[n-1] == ids[i] {
+			sm[n-1] |= masks[i]
+			continue
+		}
+		sids = append(sids, ids[i])
+		sm = append(sm, masks[i])
+	}
+	return dayColumn{ids: sids, sm: sm, width: width}
+}
+
+// denseColumn scatters the observations into a width-long mask column
+// plus presence bitmap.
+func denseColumn(ids []int32, masks []BranchMask, width int) dayColumn {
 	col := dayColumn{masks: make([]BranchMask, width), present: newBitset(width), width: width}
 	for i, id := range ids {
 		col.masks[id] |= masks[i]
@@ -142,66 +143,21 @@ func makeColumn(ids []int32, masks []BranchMask, width int, forceDense bool) day
 // via AddIDs index directly by candidate ID. Bind must be called before
 // any day is added and at most once.
 func (h *History) Bind(t *CandidateTable) {
-	if len(h.days) > 0 || h.ids != nil {
+	if len(h.days) > 0 || h.prefixes != nil {
 		panic("apd: History.Bind on a non-empty history")
 	}
-	h.prefixes = append([]ip6.Prefix(nil), t.prefixes...)
-	h.ids = make(map[ip6.Prefix]int32, len(t.prefixes))
-	for p, id := range t.ids {
-		h.ids[p] = id
-	}
-}
-
-// Add appends one day's observation from a per-prefix mask map. Unseen
-// prefixes are registered in ComparePrefix order, keeping ID assignment a
-// pure function of the observation sequence.
-func (h *History) Add(day map[ip6.Prefix]BranchMask) {
-	var fresh []ip6.Prefix
-	for p := range day {
-		if _, ok := h.ids[p]; !ok {
-			fresh = append(fresh, p)
-		}
-	}
-	if len(fresh) > 0 {
-		sort.Slice(fresh, func(i, j int) bool { return ip6.ComparePrefix(fresh[i], fresh[j]) < 0 })
-		if h.ids == nil {
-			h.ids = make(map[ip6.Prefix]int32, len(fresh))
-		}
-		for _, p := range fresh {
-			if _, ok := h.ids[p]; !ok {
-				h.ids[p] = int32(len(h.prefixes))
-				h.prefixes = append(h.prefixes, p)
-			}
-		}
-	}
-	ids := make([]int32, 0, len(day))
-	masks := make([]BranchMask, 0, len(day))
-	// makeColumn OR-merges per ID either way, but feeding it in sorted
-	// prefix order keeps the column build independent of map iteration
-	// (and matches the AddIDs pipeline path, which probes in
-	// ComparePrefix order).
-	for _, p := range ip6.SortedKeys(day) {
-		ids = append(ids, h.ids[p])
-		masks = append(masks, day[p])
-	}
-	h.days = append(h.days, makeColumn(ids, masks, len(h.prefixes), h.forceDense))
+	h.prefixes = t.prefixes
 }
 
 // AddIDs appends one day's observation given pre-resolved prefix IDs:
 // masks[i] is the branch mask observed for ids[i]. Entries sharing an ID
-// (duplicate candidate prefixes) OR-merge, exactly like the map form.
+// (duplicate candidate prefixes) OR-merge.
 func (h *History) AddIDs(ids []int32, masks []BranchMask) {
 	if len(ids) != len(masks) {
 		panic("apd: History.AddIDs length mismatch")
 	}
-	h.days = append(h.days, makeColumn(ids, masks, len(h.prefixes), h.forceDense))
+	h.days = append(h.days, makeColumn(ids, masks, len(h.prefixes)))
 }
-
-// SetDenseColumns pins the history to dense day columns regardless of
-// how narrowed a day is — the memory-audit baseline knob (cmd/bench7
-// -baseline) and the reference representation of the sparse/dense
-// equivalence tests. Affects only days recorded after the call.
-func (h *History) SetDenseColumns(dense bool) { h.forceDense = dense }
 
 // Len returns the number of recorded days.
 func (h *History) Len() int { return len(h.days) }
@@ -220,24 +176,24 @@ func (h *History) Restore(t *CandidateTable, cols []DayColumn) {
 }
 
 // MemBytes estimates the history's resident footprint, split into the
-// day columns (dense vs sparse parts) and the prefix index. The split
-// drives the alias-plane rows of the bytes-per-address audit.
+// day columns (dense vs sparse parts) and the prefix index (the bound
+// table's prefix column). The split drives the alias-plane rows of the
+// bytes-per-address audit.
 func (h *History) MemBytes() (total, denseCols, sparseCols, index int64) {
 	for i := range h.days {
 		d := &h.days[i]
 		denseCols += int64(cap(d.masks))*2 + int64(cap(d.present))*8
 		sparseCols += int64(cap(d.ids))*4 + int64(cap(d.sm))*2
 	}
-	// Prefix = Addr (16B) + length byte, padded to 24; the id map costs
-	// its 24-byte key + 4-byte value plus bucket overhead (~40B/entry).
-	index = int64(cap(h.prefixes))*24 + int64(len(h.ids))*40
+	// Prefix = Addr (16B) + length byte, padded to 24.
+	index = int64(cap(h.prefixes)) * 24
 	return denseCols + sparseCols + index, denseCols, sparseCols, index
 }
 
 // DayColumn is an immutable snapshot of one recorded day's observation
 // column — dense (per-ID masks plus presence bitmap) or sparse (probed
 // IDs with their masks), matching the live history's layout for that
-// day. A day's column is write-once — AddIDs/Add fill it completely
+// day. A day's column is write-once — AddIDs fills it completely
 // before appending and nothing mutates it afterwards — so the snapshot
 // is a few shared slice headers (copy-on-publish without the copy),
 // safe to read from any goroutine while later days are still being
@@ -295,9 +251,23 @@ func (c DayColumn) Export() (width int, ids []int32, masks []BranchMask) {
 // ImportDayColumn rebuilds a column snapshot from its exported form,
 // picking the layout the live history would have used. Mask, Probed and
 // every scan over the imported column behave identically to the
-// original — representation is a pure memory decision.
-func ImportDayColumn(width int, ids []int32, masks []BranchMask) DayColumn {
-	return DayColumn{col: makeColumn(ids, masks, width, false)}
+// original — representation is a pure memory decision. The exported
+// form comes from outside the process (a snapshot file), so it is
+// validated first: ids and masks must pair up, and every id must lie in
+// [0, width).
+func ImportDayColumn(width int, ids []int32, masks []BranchMask) (DayColumn, error) {
+	if width < 0 {
+		return DayColumn{}, fmt.Errorf("apd: day column width %d is negative", width)
+	}
+	if len(ids) != len(masks) {
+		return DayColumn{}, fmt.Errorf("apd: day column has %d ids but %d masks", len(ids), len(masks))
+	}
+	for i, id := range ids {
+		if id < 0 || int(id) >= width {
+			return DayColumn{}, fmt.Errorf("apd: day column id %d at position %d outside [0, %d)", id, i, width)
+		}
+	}
+	return DayColumn{col: makeColumn(ids, masks, width)}, nil
 }
 
 // Column returns day di's immutable column snapshot.
@@ -324,9 +294,8 @@ func (h *History) WindowColumns(di, window int) []DayColumn {
 
 // MergeColumns OR-merges day-column snapshots into a width-nIDs mask
 // array — mask[id] is the union of id's branch masks over the columns —
-// as a chunk-parallel array scan. MergedColumn is this applied to the
-// live history's window; epoch sealing applies it to a draft's pinned
-// window columns. The result is identical for every worker count.
+// as a chunk-parallel array scan. Epoch sealing applies it to a draft's
+// pinned window columns. The result is identical for every worker count.
 func MergeColumns(cols []DayColumn, nIDs, workers int) []BranchMask {
 	out := make([]BranchMask, nIDs)
 	chunks(nIDs, workers, func(clo, chi int) {
@@ -347,36 +316,6 @@ func windowStart(di, window int) int {
 	return lo
 }
 
-// MergedAt returns the branch mask of prefix p at day index di, OR-merged
-// over a sliding window of `window` days TOTAL ending at di (window 1 =
-// that day only; values below 1 are clamped to 1): a branch counts as
-// responsive if its address answered any protocol on any day in the
-// window (§5.2). The paper's 3-day window therefore merges exactly days
-// di-2 .. di — an earlier version merged window+1 days, silently turning
-// the §5.2 evaluation into a 4-day merge.
-func (h *History) MergedAt(p ip6.Prefix, di, window int) BranchMask {
-	if window < 1 {
-		window = 1
-	}
-	id, ok := h.ids[p]
-	if !ok {
-		return 0
-	}
-	var m BranchMask
-	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		m |= h.days[i].mask(id)
-	}
-	return m
-}
-
-// MergedColumn returns the whole ID space's window-merged masks at day
-// index di — mask[id] OR-merged over the `window` days ending at di — as
-// a chunk-parallel array OR-scan over the day columns. The result is
-// indexed by prefix ID (CandidateTable IDs when the history is bound).
-func (h *History) MergedColumn(di, window, workers int) []BranchMask {
-	return MergeColumns(h.WindowColumns(di, window), len(h.prefixes), workers)
-}
-
 // ORDayInto ORs day di's column into dst (indexed by prefix ID), the
 // running-mask update of the pipeline's candidate narrowing, chunk-
 // parallel over disjoint ID ranges.
@@ -391,82 +330,15 @@ func (h *History) ORDayInto(di int, dst []BranchMask, workers int) {
 	})
 }
 
-// presentUnion returns the union of the presence bitmaps over the window
-// ending at di.
-func (h *History) presentUnion(di, window int) bitset {
-	u := newBitset(len(h.prefixes))
-	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		if d := &h.days[i]; d.masks != nil {
-			u.or(d.present)
-		} else {
-			for _, id := range d.ids {
-				u.set(int(id))
-			}
-		}
-	}
-	return u
-}
-
-// AliasedAt returns the set of prefixes classified aliased at day index
-// di under the given sliding window, scanning with all available CPUs.
-// A prefix participates if it was probed on ANY day of the window, not
-// just day di — later days narrow the probe set to near-aliased
-// candidates, and the old per-day iteration silently dropped prefixes
-// responsive earlier in the window but absent from day di's narrowed
-// probe set.
-func (h *History) AliasedAt(di, window int) map[ip6.Prefix]bool {
-	return h.AliasedAtWorkers(di, window, runtime.GOMAXPROCS(0))
-}
-
-// AliasedAtWorkers is AliasedAt with an explicit worker cap for the
-// column scan (the pipeline's Config.Workers plumbing; the result is
-// identical for every value).
-func (h *History) AliasedAtWorkers(di, window, workers int) map[ip6.Prefix]bool {
-	out := make(map[ip6.Prefix]bool)
-	if di >= len(h.days) || di < 0 {
-		return out
-	}
-	if window < 1 {
-		window = 1
-	}
-	present := h.presentUnion(di, window)
-	merged := h.MergedColumn(di, window, workers)
-	for id, m := range merged {
-		if m == AllBranches && present.get(id) {
-			out[h.prefixes[id]] = true
-		}
-	}
-	return out
-}
-
-// Prefixes returns every prefix ever observed, sorted.
-func (h *History) Prefixes() []ip6.Prefix {
-	seen := h.presentUnion(len(h.days)-1, len(h.days))
-	out := make([]ip6.Prefix, 0, len(h.prefixes))
-	for id, p := range h.prefixes {
-		if seen.get(id) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i], out[j]) < 0 })
-	return out
-}
-
 // UnstablePrefixes counts prefixes whose aliased classification changes
 // across the recorded days when using the given sliding window — the
-// metric of Table 4 — scanning with all available CPUs. Evaluation
-// starts once the window is full, i.e. at day index window-1 (window < 1
-// is clamped to 1, a single-day window).
-func (h *History) UnstablePrefixes(window int) int {
-	return h.UnstablePrefixesWorkers(window, runtime.GOMAXPROCS(0))
-}
-
-// UnstablePrefixesWorkers is UnstablePrefixes with an explicit worker
-// cap (the pipeline's Config.Workers plumbing). The scan is
-// chunk-parallel over the ID space: each prefix's flip count is an
-// independent walk down its mask column, and the per-chunk counts sum
-// to the same total for every worker count.
-func (h *History) UnstablePrefixesWorkers(window, workers int) int {
+// metric of Table 4. Evaluation starts once the window is full, i.e. at
+// day index window-1 (window < 1 is clamped to 1, a single-day window).
+// The scan is chunk-parallel over the ID space with up to `workers`
+// goroutines (the pipeline's Config.Workers): each prefix's flip count
+// is an independent walk down its mask column, and the per-chunk counts
+// sum to the same total for every worker count.
+func (h *History) UnstablePrefixes(window, workers int) int {
 	if window < 1 {
 		window = 1
 	}
@@ -537,10 +409,3 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) get(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
-
-// or merges another bitmap (possibly narrower) into b.
-func (b bitset) or(o bitset) {
-	for i := range o {
-		b[i] |= o[i]
-	}
-}

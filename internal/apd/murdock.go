@@ -21,10 +21,12 @@ type MurdockDetector struct {
 	ProbesSent int
 }
 
-// NewMurdockDetector builds the baseline detector.
-func NewMurdockDetector(r wire.Responder) *MurdockDetector {
+// NewMurdockDetector builds the baseline detector with the given
+// per-protocol worker-shard count (<= 0 selects the scanner default).
+// Verdicts are identical for every worker count.
+func NewMurdockDetector(r wire.Responder, workers int) *MurdockDetector {
 	return &MurdockDetector{
-		scanner: probe.New(r, probe.WithWorkers(8), probe.WithSeed(0x96)),
+		scanner: probe.New(r, probe.WithWorkers(workers), probe.WithSeed(0x96)),
 	}
 }
 
@@ -56,11 +58,13 @@ func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) map[ip6.Prefix]
 		}
 	}
 	answered := make([]bool, len(targets))
+	var cols wire.ResultColumns
 	for attempt := 0; attempt < 3; attempt++ {
-		res := d.scanner.Scan(targets, wire.TCP80, day)
+		cols.ResetOK(len(targets))
+		d.scanner.ScanColumns(ip6.Addrs(targets), wire.TCP80, day, &cols)
 		d.ProbesSent += len(targets)
-		for i, r := range res {
-			if r.OK {
+		for i := range answered {
+			if cols.OK.Get(i) {
 				answered[i] = true
 			}
 		}

@@ -7,7 +7,7 @@ import (
 	"expanse/internal/ip6"
 )
 
-// buildHistories drives a sparse-enabled and a forced-dense history
+// buildHistories drives a production history and a forced-dense one
 // through an identical observation sequence: day 0 probes the whole ID
 // space, later days random narrowed subsets (some far below the sparse
 // threshold, some above), with duplicate IDs sprinkled in to exercise
@@ -21,7 +21,6 @@ func buildHistories(t *testing.T, seed int64, nIDs, days int) (h, ref *History) 
 	}
 	table := NewCandidateTable(cands)
 	h, ref = &History{}, &History{}
-	ref.SetDenseColumns(true)
 	h.Bind(table)
 	ref.Bind(table)
 	for d := 0; d < days; d++ {
@@ -46,7 +45,7 @@ func buildHistories(t *testing.T, seed int64, nIDs, days int) (h, ref *History) 
 			masks[i] = BranchMask(rng.Intn(1 << 16))
 		}
 		h.AddIDs(ids, masks)
-		ref.AddIDs(ids, masks)
+		addDense(ref, ids, masks)
 	}
 	return h, ref
 }
@@ -94,7 +93,7 @@ func TestSparseColumnsMatchDense(t *testing.T) {
 							d, window, workers, id, got[id], want[id])
 					}
 				}
-				ga, wa := h.AliasedAtWorkers(d, window, workers), ref.AliasedAtWorkers(d, window, 1)
+				ga, wa := h.AliasedAt(d, window, workers), ref.AliasedAt(d, window, 1)
 				if len(ga) != len(wa) {
 					t.Fatalf("AliasedAt(d=%d w=%d): %d vs %d prefixes", d, window, len(ga), len(wa))
 				}
@@ -104,7 +103,7 @@ func TestSparseColumnsMatchDense(t *testing.T) {
 					}
 				}
 			}
-			if g, w := h.UnstablePrefixesWorkers(window, workers), ref.UnstablePrefixesWorkers(window, 1); g != w {
+			if g, w := h.UnstablePrefixes(window, workers), ref.UnstablePrefixes(window, 1); g != w {
 				t.Fatalf("UnstablePrefixes(w=%d workers=%d): %d vs %d", window, workers, g, w)
 			}
 		}
@@ -140,7 +139,10 @@ func TestDayColumnExportImport(t *testing.T) {
 					t.Fatalf("day %d: exported ids not strictly ascending at %d", d, i)
 				}
 			}
-			back := ImportDayColumn(width, ids, masks)
+			back, err := ImportDayColumn(width, ids, masks)
+			if err != nil {
+				t.Fatalf("day %d: import: %v", d, err)
+			}
 			if back.Width() != orig.Width() || back.ProbedCount() != orig.ProbedCount() {
 				t.Fatalf("day %d: round-trip width/count diverge", d)
 			}
@@ -149,6 +151,35 @@ func TestDayColumnExportImport(t *testing.T) {
 					t.Fatalf("day %d id %d: round-trip diverged", d, id)
 				}
 			}
+		}
+	}
+}
+
+// TestImportDayColumnRejectsMalformed pins the codec's input checks: an
+// exported column comes from a file, so mismatched id/mask counts and
+// ids outside [0, width) are errors, never panics or silent accepts.
+func TestImportDayColumnRejectsMalformed(t *testing.T) {
+	// A dense-sized column (probed count above the sparse threshold)
+	// whose last id lies far past the width.
+	denseIDs := make([]int32, 2000)
+	for i := range denseIDs {
+		denseIDs[i] = int32(i)
+	}
+	denseIDs[len(denseIDs)-1] = 99999
+	for _, c := range []struct {
+		name  string
+		width int
+		ids   []int32
+		masks []BranchMask
+	}{
+		{"ids without masks", 100, []int32{1, 2, 3}, []BranchMask{1}},
+		{"id past width, dense", 4826, denseIDs, make([]BranchMask, len(denseIDs))},
+		{"id past width, sparse", 4826, []int32{4826}, []BranchMask{1}},
+		{"negative id", 4826, []int32{-1}, []BranchMask{1}},
+		{"negative width", -1, nil, nil},
+	} {
+		if _, err := ImportDayColumn(c.width, c.ids, c.masks); err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
@@ -168,7 +199,11 @@ func TestHistoryRestore(t *testing.T) {
 	cols := make([]DayColumn, h.Len())
 	for d := range cols {
 		width, ids, masks := h.Column(d).Export()
-		cols[d] = ImportDayColumn(width, ids, masks)
+		col, err := ImportDayColumn(width, ids, masks)
+		if err != nil {
+			t.Fatalf("day %d: import: %v", d, err)
+		}
+		cols[d] = col
 	}
 	var re History
 	re.Restore(table, cols)
@@ -185,7 +220,7 @@ func TestHistoryRestore(t *testing.T) {
 				}
 			}
 		}
-		if g, w := re.UnstablePrefixesWorkers(window, 4), h.UnstablePrefixesWorkers(window, 1); g != w {
+		if g, w := re.UnstablePrefixes(window, 4), h.UnstablePrefixes(window, 1); g != w {
 			t.Fatalf("restored UnstablePrefixes(w=%d): %d vs %d", window, g, w)
 		}
 	}

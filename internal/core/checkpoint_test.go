@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"expanse/internal/snap"
 )
 
 func snapTestConfig(workers, overlap int) Config {
@@ -24,7 +26,7 @@ func baselineRun(t *testing.T, dir string, days int) []string {
 	cfg.SnapshotDir = dir
 	p := New(cfg)
 	p.Collect()
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	if err := p.SnapshotErr(); err != nil {
 		t.Fatalf("SnapshotErr: %v", err)
 	}
@@ -62,7 +64,7 @@ func TestResumeByteIdentical(t *testing.T) {
 				t.Fatalf("Resume(w=%d o=%d): epoch %d digest %s != baseline %s",
 					workers, overlap, resumeAt, got, base[resumeAt])
 			}
-			rest := rp.RunDays(ep.Day+1, days-1-resumeAt)
+			rest := runDays(rp, ep.Day+1, days-1-resumeAt)
 			for i, e := range rest {
 				if got := e.Digest(); got != base[resumeAt+1+i] {
 					t.Fatalf("Resume(w=%d o=%d): continued epoch %d digest diverged",
@@ -80,7 +82,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	if ep.Digest() != base[0] {
 		t.Fatal("Resume(0): epoch 0 digest diverged")
 	}
-	rest := rp.RunDays(ep.Day+1, days-1)
+	rest := runDays(rp, ep.Day+1, days-1)
 	for i, e := range rest {
 		if e.Digest() != base[1+i] {
 			t.Fatalf("Resume(0): continued epoch %d digest diverged", 1+i)
@@ -91,9 +93,34 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// writeEpochColumn overwrites checkpoint i with a checksum-valid file
+// whose history column is the given (width, ids, masks) triple.
+func writeEpochColumn(t *testing.T, cfg Config, dir string, i, width int, ids []int32, masks []uint16) {
+	t.Helper()
+	p := &Pipeline{Cfg: cfg}
+	_, err := writeSnapFile(EpochPath(dir, i), func(w *snap.Writer) {
+		w.Section("PIN ")
+		p.pin(w)
+		w.Section("META")
+		w.Int(i)
+		w.Int(0)
+		w.Int(0)
+		w.Section("HCOL")
+		w.Int(width)
+		w.I32s(ids)
+		w.U16s(masks)
+		w.Section("PROB")
+		w.U16s(nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResumeRejectsCorruption pins the failure modes: truncated files,
-// mismatched config pins, and absent checkpoints must surface as errors
-// (never panics, never silently-wrong pipelines).
+// mismatched config pins, absent checkpoints, and checksum-valid files
+// holding a malformed history column must surface as errors (never
+// panics, never silently-wrong pipelines).
 func TestResumeRejectsCorruption(t *testing.T) {
 	const days = 3
 	dir := t.TempDir()
@@ -134,5 +161,37 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Resume(cfg, dir, 2); err == nil {
 		t.Fatal("Resume over a corrupted checkpoint succeeded")
+	}
+
+	// Checksum-valid epoch files whose column is malformed: the column
+	// import rejects them, and Resume names the file.
+	rp, _, err := Resume(cfg, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := rp.builder.table.NumIDs()
+	dense := make([]int32, width/2)
+	for i := range dense {
+		dense[i] = int32(i)
+	}
+	dense[len(dense)-1] = 99999
+	for _, c := range []struct {
+		name  string
+		ids   []int32
+		masks []uint16
+	}{
+		{"3 ids, 1 mask", []int32{0, 1, 2}, []uint16{1}},
+		{"dense column, id past width", dense, make([]uint16, len(dense))},
+		{"sparse column, negative id", []int32{-1}, []uint16{1}},
+		{"sparse column, id past width", []int32{int32(width)}, []uint16{1}},
+	} {
+		writeEpochColumn(t, cfg, dir, 0, width, c.ids, c.masks)
+		_, _, err := Resume(cfg, dir, 0)
+		if err == nil {
+			t.Fatalf("%s: Resume succeeded", c.name)
+		}
+		if !strings.Contains(err.Error(), EpochPath(dir, 0)) {
+			t.Errorf("%s: error %q does not name the file", c.name, err)
+		}
 	}
 }

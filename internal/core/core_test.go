@@ -1,11 +1,12 @@
 package core
 
 import (
-	"expanse/internal/ip6"
 	"strings"
 	"sync"
 	"testing"
 
+	"expanse/internal/apd"
+	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
 
@@ -123,13 +124,13 @@ func TestTable4WindowMonotone(t *testing.T) {
 	lab.ensureAPDDays(14)
 	prev := -1
 	for w := 0; w <= 5; w++ {
-		u := lab.P.History().UnstablePrefixes(w)
+		u := lab.unstablePrefixes(w)
 		if prev >= 0 && u > prev+2 {
 			t.Errorf("unstable count rose sharply at window %d: %d -> %d", w, prev, u)
 		}
 		prev = u
 	}
-	if lab.P.History().UnstablePrefixes(3) > lab.P.History().UnstablePrefixes(0) {
+	if lab.unstablePrefixes(3) > lab.unstablePrefixes(0) {
 		t.Error("window 3 must not be worse than window 0")
 	}
 }
@@ -352,21 +353,21 @@ func TestAPDNarrowingEquivalence(t *testing.T) {
 	p := New(cfg)
 	p.Collect()
 	day := p.World.Horizon()
-	p.RunAPD(day)
+	p.RunDaysFunc(day, 1, nil)
 	b := p.Builder()
 	for d := 1; d < 5; d++ {
 		// Old condition over the full history, evaluated on the candidate
 		// set as it stands before the next narrowing.
 		expected := map[ip6.Prefix]bool{}
-		for _, c := range b.cands {
-			for di := 0; di < b.hist.Len(); di++ {
-				if b.hist.MergedAt(c.Prefix, di, b.hist.Len()).Count() >= 12 {
+		for di := 0; di < b.hist.Len(); di++ {
+			merged := apd.MergeColumns(b.hist.WindowColumns(di, b.hist.Len()), b.table.NumIDs(), 1)
+			for i, c := range b.cands {
+				if merged[b.candIDs[i]].Count() >= 12 {
 					expected[c.Prefix] = true
-					break
 				}
 			}
 		}
-		p.RunAPD(day + d)
+		p.RunDaysFunc(day+d, 1, nil)
 		if len(b.cands) != len(expected) {
 			t.Fatalf("day %d: kept %d candidates, history scan keeps %d",
 				d, len(b.cands), len(expected))

@@ -13,14 +13,14 @@ import (
 // Epoch is one published day of the daily hitlist service: an immutable,
 // cheaply-shareable snapshot of everything the day's consumers read.
 // The publish point is atomic (Pipeline.publish swaps an RCU pointer),
-// so a reader that obtains an epoch — via Pipeline.Latest or a RunDays
-// result — sees a fully-built, internally-consistent view forever: the
-// hitlist pinned at its sorted mutation epoch (ip6.FrozenView), the
-// interval-compiled alias filter, the per-prefix verdicts, the day's
-// probed candidates with their raw scan masks, the day's history column
-// plus the sliding window it was judged under, and (when the pipeline
-// runs with EpochSweep) the day's responsiveness sweep of the curated
-// targets.
+// so a reader that obtains an epoch — via Pipeline.Latest or the
+// RunDaysFunc callback — sees a fully-built, internally-consistent view
+// forever: the hitlist pinned at its sorted mutation epoch
+// (ip6.FrozenView), the interval-compiled alias filter, the per-prefix
+// verdicts, the day's probed candidates with their raw scan masks, the
+// day's history column plus the sliding window it was judged under, and
+// (when the pipeline runs with EpochSweep) the day's responsiveness
+// sweep of the curated targets.
 //
 // All exported fields are read-only after publish. The clean/aliased
 // split of the hitlist is memoized per epoch (logically immutable —
@@ -84,13 +84,6 @@ func (e *Epoch) CleanTargets() []ip6.Addr {
 	return clean
 }
 
-// AliasedTargets returns the aliased partition of the epoch's hitlist.
-// Shared, read-only.
-func (e *Epoch) AliasedTargets() []ip6.Addr {
-	_, aliased, _ := e.Split()
-	return aliased
-}
-
 // IsAliased reports whether addr falls under an aliased prefix per this
 // epoch's filter.
 func (e *Epoch) IsAliased(addr ip6.Addr) bool { return e.Filter.IsAliased(addr) }
@@ -128,8 +121,8 @@ func (d *EpochDraft) Index() int { return d.index }
 //     the post-collection hitlist, so any number of Seal calls may run
 //     concurrently with each other and with later ProbeDay calls.
 //
-// The day orchestrator (sched.go) pipelines the two; the serial
-// Pipeline.RunAPD composes them back to back.
+// The day orchestrator (sched.go) pipelines the two; Resume
+// (checkpoint.go) rebuilds the same state from a snapshot directory.
 type EpochBuilder struct {
 	cfg      Config
 	world    *netsim.Internet
@@ -144,52 +137,46 @@ type EpochBuilder struct {
 	nearMask []apd.BranchMask
 }
 
+// nearAliasedBranches is the narrowing threshold: after day 0, a
+// candidate is re-probed only while its running mask — the OR of every
+// earlier day's column — has at least this many responsive branches.
+const nearAliasedBranches = 12
+
 // Days returns how many APD days have been probed so far.
 func (b *EpochBuilder) Days() int { return b.hist.Len() }
 
-// History exposes the builder's live observation history. Callers must
-// not read it concurrently with ProbeDay; published epochs carry
-// immutable column snapshots for that.
-func (b *EpochBuilder) History() *apd.History { return &b.hist }
-
-// ProbeDay runs the probe-chain half of one APD day: on the first call
-// it derives and freezes the candidate universe (hitlist multi-level
-// mapping plus all BGP-announced prefixes); later calls first narrow to
-// prefixes whose running mask is near aliased (>= 12 branches), since a
-// full daily re-derivation would be probe-for-probe identical in the
-// simulator but pointlessly slow (see DESIGN.md). It then probes the
-// day's fan-out targets, appends the history column, and folds it into
-// the running masks. The returned draft is immutable.
-func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
-	if b.table == nil {
-		cands := apd.HitlistCandidates(b.store.All(), b.cfg.MinTargets)
-		cands = append(cands, apd.BGPCandidates(b.world.Table)...)
-		b.table = apd.NewCandidateTable(cands)
-		b.hist.Bind(b.table)
-		b.nearMask = make([]apd.BranchMask, b.table.NumIDs())
-		b.cands = cands
-		b.candIDs = make([]int32, len(cands))
-		for i := range cands {
-			b.candIDs[i] = b.table.EntryID(i)
-		}
-	} else if b.hist.Len() > 0 {
-		// Narrow to near-aliased prefixes (running mask >= 12 branches).
-		// Fresh slices every day: the previous day's draft keeps the old
-		// ones, so sealed-but-unpublished epochs never see this mutation.
-		narrow := b.cands[:0:0]
-		narrowIDs := b.candIDs[:0:0]
-		for i, c := range b.cands {
-			if b.nearMask[b.candIDs[i]].Count() >= 12 {
-				narrow = append(narrow, c)
-				narrowIDs = append(narrowIDs, b.candIDs[i])
-			}
-		}
-		b.cands, b.candIDs = narrow, narrowIDs
+// adopt freezes the candidate universe: every entry of the table is a
+// candidate of day 0, and the running masks start empty. The history is
+// bound by the caller (fresh, or restored from a snapshot).
+func (b *EpochBuilder) adopt(table *apd.CandidateTable) {
+	b.table = table
+	b.cands = table.Candidates()
+	b.candIDs = make([]int32, len(b.cands))
+	for i := range b.cands {
+		b.candIDs[i] = table.EntryID(i)
 	}
-	flat := b.detector.ProbeDayFlat(b.cands, day)
-	b.hist.AddIDs(b.candIDs, flat)
-	di := b.hist.Len() - 1
-	b.hist.ORDayInto(di, b.nearMask, b.cfg.Workers)
+	b.nearMask = make([]apd.BranchMask, table.NumIDs())
+}
+
+// narrow keeps the candidates whose running mask is near aliased. It
+// builds fresh slices every day: the previous day's draft keeps the old
+// ones, so sealed-but-unpublished epochs never see this mutation.
+func (b *EpochBuilder) narrow() {
+	cands := b.cands[:0:0]
+	ids := b.candIDs[:0:0]
+	for i, c := range b.cands {
+		if b.nearMask[b.candIDs[i]].Count() >= nearAliasedBranches {
+			cands = append(cands, c)
+			ids = append(ids, b.candIDs[i])
+		}
+	}
+	b.cands, b.candIDs = cands, ids
+}
+
+// draft assembles the immutable draft of day index di from the
+// builder's current candidate subset, the day's raw probe masks and the
+// history's pinned column snapshots.
+func (b *EpochBuilder) draft(di, day int, flat []apd.BranchMask) *EpochDraft {
 	return &EpochDraft{
 		index:   di,
 		day:     day,
@@ -200,6 +187,31 @@ func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
 		window:  b.hist.WindowColumns(di, b.cfg.APDWindow),
 		nIDs:    b.table.NumIDs(),
 	}
+}
+
+// ProbeDay runs the probe-chain half of one APD day: on the first call
+// it derives and freezes the candidate universe (hitlist multi-level
+// mapping plus all BGP-announced prefixes); later calls first narrow to
+// prefixes whose running mask is near aliased (nearAliasedBranches),
+// since a full daily re-derivation would be probe-for-probe identical in
+// the simulator but pointlessly slow (see DESIGN.md). It then probes the
+// day's fan-out targets, appends the history column, and folds it into
+// the running masks. The returned draft is immutable.
+func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
+	if b.table == nil {
+		cands := apd.HitlistCandidates(b.store.All(), b.cfg.MinTargets)
+		cands = append(cands, apd.BGPCandidates(b.world.Table)...)
+		table := apd.NewCandidateTable(cands)
+		b.adopt(table)
+		b.hist.Bind(table)
+	} else {
+		b.narrow()
+	}
+	flat := b.detector.ProbeDayFlat(b.cands, day)
+	b.hist.AddIDs(b.candIDs, flat)
+	di := b.hist.Len() - 1
+	b.hist.ORDayInto(di, b.nearMask, b.cfg.Workers)
+	return b.draft(di, day, flat)
 }
 
 // Seal turns a probed draft into a publish-ready epoch: the window
@@ -235,7 +247,7 @@ func (b *EpochBuilder) Seal(d *EpochDraft) *Epoch {
 		e.Scan = &Scan{
 			Day:   d.day,
 			Addrs: clean,
-			Masks: b.scanner.SweepSeqInto(ip6.Addrs(clean), d.day, nil),
+			Masks: b.scanner.SweepSeq(ip6.Addrs(clean), d.day),
 		}
 	}
 	return e

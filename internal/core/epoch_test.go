@@ -45,6 +45,14 @@ func epochDigest(e *Epoch) string {
 	return b.String()
 }
 
+// runDays runs n APD days from start and returns the published epochs
+// in day order.
+func runDays(p *Pipeline, start, n int) []*Epoch {
+	var eps []*Epoch
+	p.RunDaysFunc(start, n, func(e *Epoch) { eps = append(eps, e) })
+	return eps
+}
+
 func runEpochs(t *testing.T, workers, overlap, days int) []string {
 	t.Helper()
 	cfg := TestConfig()
@@ -55,7 +63,7 @@ func runEpochs(t *testing.T, workers, overlap, days int) []string {
 	cfg.EpochSweep = true
 	p := New(cfg)
 	p.Collect()
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	out := make([]string, len(eps))
 	for i, e := range eps {
 		out[i] = epochDigest(e)
@@ -89,9 +97,9 @@ func TestEpochPipelineGoldens(t *testing.T) {
 // TestRunDaysFuncStreams pins the streaming contract: the callback
 // observes every epoch exactly once, in day order, after the publish
 // point has swapped (Latest is the callback's epoch), and the stream
-// is byte-identical to the slice RunDays returns for the same
-// configuration. The streaming leg also forces periodic collections
-// (ForceGCDays) to pin that the knob is output-neutral.
+// is byte-identical to a reference run of the same configuration. The
+// streaming leg also forces periodic collections (ForceGCDays) to pin
+// that the knob is output-neutral.
 func TestRunDaysFuncStreams(t *testing.T) {
 	const days = 5
 	build := func(forceGC int) *Pipeline {
@@ -105,7 +113,7 @@ func TestRunDaysFuncStreams(t *testing.T) {
 		return p
 	}
 	ref := build(0)
-	want := ref.RunDays(ref.World.Horizon(), days)
+	want := runDays(ref, ref.World.Horizon(), days)
 
 	p := build(2)
 	var got []string
@@ -123,7 +131,7 @@ func TestRunDaysFuncStreams(t *testing.T) {
 	}
 	for i, w := range want {
 		if d := epochDigest(w); got[i] != d {
-			t.Errorf("epoch %d: streamed digest differs:\nslice:  %s\nstream: %s", i, d, got[i])
+			t.Errorf("epoch %d: streamed digest differs:\nreference: %s\nstream:    %s", i, d, got[i])
 		}
 	}
 }
@@ -203,7 +211,7 @@ func TestEpochConcurrentReaders(t *testing.T) {
 		}()
 	}
 
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	close(done)
 	wg.Wait()
 
@@ -228,7 +236,7 @@ func TestCleanTargetsBeforeEpochPanics(t *testing.T) {
 			t.Fatal("CleanTargets before any epoch did not panic")
 		}
 		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "RunAPD or RunDays") {
+		if !ok || !strings.Contains(msg, "before any APD epoch was published") {
 			t.Fatalf("panic = %v, want descriptive message", r)
 		}
 	}()
@@ -239,7 +247,7 @@ func TestCleanTargetsBeforeEpochPanics(t *testing.T) {
 // epoch-backed accessors before the first publish.
 func TestAccessorsNilBeforeEpoch(t *testing.T) {
 	p := New(TestConfig())
-	if p.Latest() != nil || p.Filter() != nil || p.Verdicts() != nil || p.Candidates() != nil {
+	if p.Latest() != nil || p.Filter() != nil {
 		t.Error("epoch accessors non-nil before first publish")
 	}
 }

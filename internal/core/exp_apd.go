@@ -54,7 +54,7 @@ func (l *Lab) Sec53() *Report {
 	l.ensureAPD()
 	r := &Report{ID: "Sec 5.3", Title: "Impact of de-aliasing on the hitlist"}
 	all := l.P.Hitlist().Sorted()
-	clean, aliased, _ := l.hitlistSplit()
+	clean, aliased, _ := l.windowEpoch().Split()
 	r.addf("hitlist before filtering: %d", len(all))
 	r.addf("after removing aliased:  %d (%.1f%% remain)", len(clean), 100*float64(len(clean))/float64(len(all)))
 	r.addf("aliased addresses:       %d (%.1f%%)", len(aliased), 100*float64(len(aliased))/float64(len(all)))
@@ -127,7 +127,7 @@ func (l *Lab) Fig4() *Report {
 	l.ensureAPD()
 	r := &Report{ID: "Fig 4", Title: "Prefix and AS distribution: aliased vs non-aliased vs all"}
 	all := l.P.Hitlist().Sorted()
-	clean, aliased, _ := l.hitlistSplit()
+	clean, aliased, _ := l.windowEpoch().Split()
 	points := stats.LogPoints(1000)
 	header := fmt.Sprintf("%-24s", "population")
 	for _, x := range points {
@@ -187,7 +187,7 @@ func (l *Lab) Fig5() *Report {
 	counts, _ := l.prefixCounts(ip6.Addrs(icmp))
 	r.addf("(a) prefixes with ICMP responses (no APD): %d, responses: %d", len(counts), len(icmp))
 
-	aliasedPrefixes := l.filter().AliasedPrefixes()
+	aliasedPrefixes := l.windowEpoch().Filter.AliasedPrefixes()
 	// The "hook": aliased /48s by AS.
 	by48 := map[bgp.ASN]int{}
 	n48 := 0
@@ -216,7 +216,7 @@ func (l *Lab) Fig5SVGs() (noAPD, aliased string) {
 	items := l.allPrefixItems(counts)
 	noAPD = zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 5a: ICMP responses without APD"})
 	var alItems []zesplot.Item
-	for _, p := range l.filter().AliasedPrefixes() {
+	for _, p := range l.windowEpoch().Filter.AliasedPrefixes() {
 		asn, _ := l.P.World.Table.Origin(p.Addr())
 		alItems = append(alItems, zesplot.Item{Prefix: p, ASN: asn, Value: float64(counts[p] + 1)})
 	}
@@ -256,7 +256,7 @@ func (l *Lab) aliasedFingerprintReports() []fingerprint.Report {
 	// Sorted keys pin the per-prefix probe schedule and the reports
 	// order; Tabulate's sums are order-insensitive, but the probes
 	// themselves should not follow map iteration.
-	verdicts := l.verdicts()
+	verdicts := l.windowEpoch().Verdicts
 	for _, p := range ip6.SortedKeys(verdicts) {
 		if !verdicts[p] || p.Bits() != 64 {
 			continue
@@ -346,14 +346,14 @@ func (l *Lab) Sec55() *Report {
 	l.ensureAPD()
 	r := &Report{ID: "Sec 5.5", Title: "Multi-level APD vs Murdock et al. static /96"}
 	hitlist := l.P.Hitlist().Sorted()
-	md := apd.NewMurdockDetector(l.P.World)
+	md := apd.NewMurdockDetector(l.P.World, l.P.Cfg.Workers)
 	cands := md.Candidates(hitlist)
 	verdicts := md.Detect(cands, l.measureDay())
 	mf := apd.MurdockFilter(verdicts)
 
 	// Both filters classify the sorted hitlist by linear interval merge;
 	// ours is the memoized window-snapshot split.
-	_, _, oursBits := l.hitlistSplit()
+	_, _, oursBits := l.windowEpoch().Split()
 	theirsBits := mf.Classify(ip6.Addrs(hitlist), l.P.Cfg.Workers)
 	oursOnly, theirsOnly, both := 0, 0, 0
 	for i := range hitlist {
@@ -374,7 +374,7 @@ func (l *Lab) Sec55() *Report {
 	r.addf("probe packets: multi-level %d vs Murdock %d (%.2fx)",
 		l.P.APDProbesSent(), md.ProbesSent, float64(md.ProbesSent)/float64(maxInt(l.P.APDProbesSent(), 1)))
 	// §5.1 case taxonomy over our verdicts.
-	cc := apd.CaseCounts(l.verdicts())
+	cc := apd.CaseCounts(l.windowEpoch().Verdicts)
 	r.addf("nested-pair cases: both-aliased=%d both-clean=%d more-aliased=%d anomaly(case 4)=%d",
 		cc[apd.CaseBothAliased], cc[apd.CaseBothNonAliased], cc[apd.CaseMoreAliasedLessNot], cc[apd.CaseMoreNotLessAliased])
 	return r

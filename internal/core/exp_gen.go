@@ -46,7 +46,7 @@ func (l *Lab) buildGenStudy() {
 
 	// Seeds: all addresses in non-aliased prefixes, split by AS.
 	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range l.cleanTargets() {
+	for _, a := range l.windowEpoch().CleanTargets() {
 		if asn, ok := l.P.World.Table.Origin(a); ok {
 			perAS[asn] = append(perAS[asn], a)
 		}
@@ -256,7 +256,7 @@ func (l *Lab) AblationGenerators() *Report {
 	r := &Report{ID: "Ablation", Title: "Exhaustive vs random Entropy/IP generator walk"}
 	l.ensureAPD()
 	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range l.cleanTargets() {
+	for _, a := range l.windowEpoch().CleanTargets() {
 		if asn, ok := l.P.World.Table.Origin(a); ok {
 			perAS[asn] = append(perAS[asn], a)
 		}

@@ -39,6 +39,7 @@ func (l *Lab) buildRDNS() {
 	st.queries = res.Queries
 
 	hitlist := l.P.Hitlist()
+	filter := l.windowEpoch().Filter
 	var targets []ip6.Addr
 	for _, a := range st.walked {
 		if !hitlist.Contains(a) {
@@ -48,7 +49,7 @@ func (l *Lab) buildRDNS() {
 			st.unrouted++
 			continue
 		}
-		if l.filter().IsAliased(a) {
+		if filter.IsAliased(a) {
 			st.inAliased++
 			continue
 		}

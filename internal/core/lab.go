@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"expanse/internal/apd"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
@@ -102,7 +101,7 @@ func (l *Lab) ensureAPDDays(n int) {
 	defer l.apdMu.Unlock()
 	if len(l.epochs) < n {
 		start := l.measureDay() + len(l.epochs)
-		l.epochs = append(l.epochs, l.P.RunDays(start, n-len(l.epochs))...)
+		l.P.RunDaysFunc(start, n-len(l.epochs), func(e *Epoch) { l.epochs = append(l.epochs, e) })
 	}
 }
 
@@ -110,7 +109,9 @@ func (l *Lab) ensureAPDDays(n int) {
 // first filled Cfg.APDWindow days — the state the paper's daily hitlist
 // would publish. Later APD days keep extending the history for the
 // stability study without disturbing this snapshot: epochs are
-// immutable, so no lock is needed once the pointer is out.
+// immutable, so no lock is needed once the pointer is out. Its split is
+// memoized on the epoch, so every consumer — Sec53, Fig4, Fig5, the
+// curated-scan targets — shares one chunk-parallel interval merge.
 func (l *Lab) windowEpoch() *Epoch {
 	l.ensureAPD()
 	l.apdMu.Lock()
@@ -118,36 +119,12 @@ func (l *Lab) windowEpoch() *Epoch {
 	return l.epochs[l.P.Cfg.APDWindow-1]
 }
 
-// hitlistSplit returns the clean/aliased partition of the sorted
-// hitlist under the window epoch's filter, plus the raw per-address
-// classification aligned with Hitlist().Sorted(). The split is memoized
-// on the epoch, so every consumer — Sec53, Fig4, Fig5, the curated-scan
-// targets — shares one chunk-parallel interval merge.
-func (l *Lab) hitlistSplit() (clean, aliased []ip6.Addr, bits []bool) {
-	return l.windowEpoch().Split()
-}
-
-// cleanTargets returns the curated hitlist of the window epoch.
-func (l *Lab) cleanTargets() []ip6.Addr {
-	return l.windowEpoch().CleanTargets()
-}
-
-// filter returns the alias filter of the window epoch.
-func (l *Lab) filter() *apd.Filter {
-	return l.windowEpoch().Filter
-}
-
-// verdicts returns the per-prefix verdicts of the window epoch.
-func (l *Lab) verdicts() map[ip6.Prefix]bool {
-	return l.windowEpoch().Verdicts
-}
-
 // unstablePrefixes evaluates the Table 4 metric under the APD mutex, so
 // it never reads the history while another experiment is extending it.
 func (l *Lab) unstablePrefixes(window int) int {
 	l.apdMu.Lock()
 	defer l.apdMu.Unlock()
-	return l.P.History().UnstablePrefixesWorkers(window, l.P.Cfg.Workers)
+	return l.P.History().UnstablePrefixes(window, l.P.Cfg.Workers)
 }
 
 // ensureScanFull sweeps the complete hitlist once (the pre-APD view that
@@ -162,7 +139,7 @@ func (l *Lab) ensureScanFull() {
 // ensureScanClean sweeps the curated (non-aliased) targets.
 func (l *Lab) ensureScanClean() {
 	l.scanCleanOnce.Do(func() {
-		l.scanClean = l.P.Sweep(l.cleanTargets(), l.measureDay())
+		l.scanClean = l.P.Sweep(l.windowEpoch().CleanTargets(), l.measureDay())
 	})
 }
 

@@ -34,37 +34,25 @@ import "sync"
 // worker count and overlap depth (pinned by TestEpochPipelineGoldens
 // and the -race stress test).
 
-// RunDays runs n consecutive APD days starting at absolute day `start`
-// through the publish-point pipeline and returns the published epochs
-// in day order. Cfg.Overlap bounds how many days are in flight (1 =
-// serial); Cfg.EpochSweep adds each day's curated-target sweep to its
-// epoch. Epochs are published to Pipeline.Latest in day order as they
-// complete, so concurrent readers can consume epoch K while day K+1 is
-// still probing.
+// RunDaysFunc runs n consecutive APD days starting at absolute day
+// `start` through the publish-point pipeline — the one day loop of the
+// daily service. On the first day the builder derives the candidate set
+// (hitlist multi-level mapping plus all BGP-announced prefixes); later
+// days re-probe only prefixes that were close to aliased before.
+// Cfg.Overlap bounds how many days are in flight (1 = serial);
+// Cfg.EpochSweep adds each day's curated-target sweep to its epoch.
 //
-// The returned slice pins every epoch of the run. At large scale each
-// epoch retains its own verdict map, compiled filter and candidate
-// columns (~hundreds of MB per day at scale 16), so a long run's slice
-// can dwarf the pipeline's own working set — callers that only need
-// the stream, or the final day, should use RunDaysFunc and let dead
-// epochs be collected.
-func (p *Pipeline) RunDays(start, n int) []*Epoch {
-	if n <= 0 {
-		return nil
-	}
-	epochs := make([]*Epoch, 0, n)
-	p.RunDaysFunc(start, n, func(e *Epoch) { epochs = append(epochs, e) })
-	return epochs
-}
-
-// RunDaysFunc is RunDays streaming: fn observes each epoch at its
-// publish point — in day order, serially, after Pipeline.Latest has
-// swapped — and the orchestrator keeps no reference of its own
-// afterwards, so an epoch the callback drops becomes garbage as soon
-// as the sliding window moves past its pinned columns. fn runs on the
-// sealing goroutine ahead of the publish of day d+1 and the probe of
-// day d+depth: a slow callback backpressures the pipeline rather than
-// racing it.
+// fn observes each epoch at its publish point — in day order, serially,
+// after Pipeline.Latest has swapped — and the orchestrator keeps no
+// reference of its own afterwards, so an epoch the callback drops
+// becomes garbage as soon as the sliding window moves past its pinned
+// columns. At large scale each epoch retains its own verdict map,
+// compiled filter and candidate columns (~hundreds of MB per day at
+// scale 16), so callers should keep only the epochs they need. fn runs
+// on the sealing goroutine ahead of the publish of day d+1 and the
+// probe of day d+depth: a slow callback backpressures the pipeline
+// rather than racing it. fn may be nil when the caller only reads the
+// final epoch through Latest.
 func (p *Pipeline) RunDaysFunc(start, n int, fn func(*Epoch)) {
 	if n <= 0 {
 		return
@@ -98,7 +86,9 @@ func (p *Pipeline) RunDaysFunc(start, n int, fn func(*Epoch)) {
 				<-published[d-1]
 			}
 			p.publish(ep)
-			fn(ep)
+			if fn != nil {
+				fn(ep)
+			}
 			close(published[d])
 		}(d, draft)
 	}

@@ -12,7 +12,7 @@ import (
 func TestShardSetCompactMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pool := randAddrs(4000, 17)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	for _, a := range pool[:3000] {
 		s.Add(a)
@@ -68,11 +68,11 @@ func TestShardSetCompactMembership(t *testing.T) {
 }
 
 // TestShardSetCompactBatch exercises the batch mutation paths against
-// compaction: AddSlice and AddAll must clear the snapshot and dedup
-// exactly as on a never-compacted set.
+// compaction: every AddSlice after a Compact must clear the snapshot and
+// dedup exactly as on a never-compacted set.
 func TestShardSetCompactBatch(t *testing.T) {
 	pool := randAddrs(6000, 23)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	s.AddSlice(pool[:4000])
 	for _, a := range pool[:4000] {
@@ -92,7 +92,7 @@ func TestShardSetCompactBatch(t *testing.T) {
 		t.Fatal("sorted view diverged after post-compact AddSlice")
 	}
 
-	other := NewShardSet(0)
+	other := NewShardSetWorkers(0, 0)
 	other.AddSlice(pool[3000:])
 	s.Compact()
 	wantNew = 0
@@ -101,11 +101,11 @@ func TestShardSetCompactBatch(t *testing.T) {
 			wantNew++
 		}
 	}
-	if got := s.AddAll(other); got != wantNew {
-		t.Fatalf("post-compact AddAll new = %d, want %d", got, wantNew)
+	if got := s.AddSlice(other.Sorted()); got != wantNew {
+		t.Fatalf("second post-compact AddSlice new = %d, want %d", got, wantNew)
 	}
 	if !addrsEqual(s.Sorted(), ref.sorted()) {
-		t.Fatal("sorted view diverged after post-compact AddAll")
+		t.Fatal("sorted view diverged after second post-compact AddSlice")
 	}
 }
 
@@ -114,7 +114,7 @@ func TestShardSetCompactBatch(t *testing.T) {
 // compaction reuses the same cached sorted view (no copy).
 func TestShardSetCompactFreeze(t *testing.T) {
 	pool := randAddrs(3000, 29)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(pool)
 	fv := s.Freeze()
 	s.Compact()
@@ -132,7 +132,7 @@ func TestShardSetCompactFreeze(t *testing.T) {
 // drop the map component to zero and leave columns and the sorted view
 // in place.
 func TestShardSetMemBytes(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(10000, 31))
 	s.Sorted()
 	total, maps, cols, sorted := s.MemBytes()
@@ -162,7 +162,7 @@ func TestShardSetMemBytes(t *testing.T) {
 func TestShardSetCompactCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pool := randAddrs(5000, 37)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	for _, a := range pool[:3500] {
 		s.Add(a)

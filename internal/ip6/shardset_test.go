@@ -45,7 +45,7 @@ func addrsEqual(a, b []Addr) bool {
 // Contains, Sorted) and requires identical observable state throughout.
 func TestShardSetVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	pool := randAddrs(2000, 11)
 	for step := 0; step < 200; step++ {
@@ -92,8 +92,8 @@ func TestShardSetVsReference(t *testing.T) {
 }
 
 // TestShardSetAcrossWorkers pins worker-count independence: the same
-// insertion history must yield identical Len, new-counts, Sorted views,
-// Each order, and AddSliceCollect results for workers 1, 4 and 16.
+// insertion history must yield identical Len, new-counts, Sorted views
+// and Each order for workers 1, 4 and 16.
 func TestShardSetAcrossWorkers(t *testing.T) {
 	batch1 := randAddrs(5000, 3)
 	batch2 := randAddrs(5000, 4) // overlaps pool space of batch1? distinct seeds → mostly disjoint
@@ -101,26 +101,22 @@ func TestShardSetAcrossWorkers(t *testing.T) {
 
 	type snapshot struct {
 		new1, new2 int
-		fresh2     []Addr
 		sorted     []Addr
 		each       []Addr
 	}
 	build := func(workers int) snapshot {
 		s := NewShardSetWorkers(0, workers)
 		n1 := s.AddSlice(batch1)
-		fresh := s.AddSliceCollect(batch2)
+		n2 := s.AddSlice(batch2)
 		var each []Addr
 		s.Each(func(a Addr) bool { each = append(each, a); return true })
-		return snapshot{new1: n1, new2: len(fresh), fresh2: fresh, sorted: s.Sorted(), each: each}
+		return snapshot{new1: n1, new2: n2, sorted: s.Sorted(), each: each}
 	}
 	ref := build(1)
 	for _, w := range []int{4, 16} {
 		got := build(w)
 		if got.new1 != ref.new1 || got.new2 != ref.new2 {
 			t.Errorf("workers=%d: new counts (%d,%d), want (%d,%d)", w, got.new1, got.new2, ref.new1, ref.new2)
-		}
-		if !addrsEqual(got.fresh2, ref.fresh2) {
-			t.Errorf("workers=%d: AddSliceCollect order/content differs", w)
 		}
 		if !addrsEqual(got.sorted, ref.sorted) {
 			t.Errorf("workers=%d: sorted view differs", w)
@@ -136,7 +132,7 @@ func TestShardSetAcrossWorkers(t *testing.T) {
 // interleaved write invalidates it and the next Sorted reflects the new
 // contents.
 func TestShardSetSortedInvalidation(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(300, 9))
 	v1 := s.Sorted()
 	v2 := s.Sorted()
@@ -194,39 +190,10 @@ func TestShardSetSortedInvalidation(t *testing.T) {
 	}
 }
 
-func TestShardSetAddAll(t *testing.T) {
-	a, b := NewShardSet(0), NewShardSet(0)
-	addrs := randAddrs(1000, 5)
-	a.AddSlice(addrs[:600])
-	b.AddSlice(addrs[400:])
-	if n := a.AddAll(b); n != 400 {
-		t.Errorf("AddAll new = %d, want 400", n)
-	}
-	if a.Len() != 1000 {
-		t.Errorf("Len = %d, want 1000", a.Len())
-	}
-	ref := refSet{}
-	for _, x := range addrs {
-		ref.add(x)
-	}
-	if !addrsEqual(a.Sorted(), ref.sorted()) {
-		t.Error("AddAll contents wrong")
-	}
-}
-
-func TestShardSetEachSorted(t *testing.T) {
-	s := NewShardSet(0)
+func TestShardSetSortedSeq(t *testing.T) {
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(500, 6))
-	var got []Addr
-	s.EachSorted(func(a Addr) bool { got = append(got, a); return true })
-	if !addrsEqual(got, s.Sorted()) {
-		t.Error("EachSorted != Sorted")
-	}
-	n := 0
-	s.EachSorted(func(Addr) bool { n++; return n < 10 })
-	if n != 10 {
-		t.Errorf("EachSorted early stop visited %d", n)
-	}
+	got := s.Sorted()
 	if s.SortedSeq().Len() != s.Len() || s.SortedSeq().At(0) != got[0] {
 		t.Error("SortedSeq view inconsistent")
 	}
@@ -236,7 +203,7 @@ func TestShardSetEachSorted(t *testing.T) {
 // under -race: batch writers, point writers, membership readers, Each
 // walkers and Sorted rebuilders all at once.
 func TestShardSetConcurrentReadersAndWriters(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	pool := randAddrs(4000, 8)
 	s.AddSlice(pool[:1000])
 	var wg sync.WaitGroup
@@ -385,7 +352,7 @@ func BenchmarkHitlistSorted(b *testing.B) {
 		})
 	}
 	b.Run("warm-invalidate", func(b *testing.B) {
-		s := NewShardSet(n)
+		s := NewShardSetWorkers(n, 0)
 		s.AddSlice(addrs)
 		s.Sorted()
 		x := uint64(1)
@@ -397,7 +364,7 @@ func BenchmarkHitlistSorted(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		s := NewShardSet(n)
+		s := NewShardSetWorkers(n, 0)
 		s.AddSlice(addrs)
 		s.Sorted()
 		b.ResetTimer()

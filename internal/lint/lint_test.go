@@ -1,6 +1,9 @@
 package lint_test
 
 import (
+	"go/ast"
+	"go/types"
+	"strings"
 	"testing"
 
 	"expanse/internal/lint"
@@ -93,6 +96,50 @@ func TestDefaultAnalyzers(t *testing.T) {
 	for _, name := range []string{"maporder", "sealedwrite", "detrand", "hotalloc"} {
 		if !seen[name] {
 			t.Errorf("missing analyzer %q", name)
+		}
+	}
+}
+
+// TestDefaultTablesResolve pins the repo tables against the tree: every
+// DefaultHotFuncs entry must name a function or method declared in its
+// package, and every DefaultSealedTypes entry a type declared there. A
+// deletion or rename would otherwise drop the entry's coverage
+// silently, since an analyzer never reports on a name it cannot find.
+func TestDefaultTablesResolve(t *testing.T) {
+	modPath, modRoot, err := lint.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := lint.NewLoader(modPath, modRoot)
+	load := func(path string) *lint.Package {
+		t.Helper()
+		pkg, err := loader.Load(path)
+		if err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
+		return pkg
+	}
+	for _, h := range lint.DefaultHotFuncs {
+		found := false
+		for _, f := range load(h.PkgPath).Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == h.Func {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("DefaultHotFuncs: %s.%s names no declared function or method", h.PkgPath, h.Func)
+		}
+	}
+	for _, s := range lint.DefaultSealedTypes {
+		i := strings.LastIndex(s.Qualified, ".")
+		if i < 0 {
+			t.Errorf("DefaultSealedTypes: %q is not a qualified type name", s.Qualified)
+			continue
+		}
+		if _, ok := load(s.Qualified[:i]).Types.Scope().Lookup(s.Qualified[i+1:]).(*types.TypeName); !ok {
+			t.Errorf("DefaultSealedTypes: %s names no declared type", s.Qualified)
 		}
 	}
 }

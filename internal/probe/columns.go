@@ -7,23 +7,24 @@ import (
 	"expanse/internal/wire"
 )
 
-// This file is the batched, structure-of-arrays side of the scan engine.
-// Where Scan/ScanSeq call the responder once per probe and materialize a
-// []Result, ScanColumns walks each worker's shard in TARGET-INDEX order —
-// so a sorted target view presents the responder with sorted runs it can
-// resolve once per run — and hands the responder whole batches that write
-// straight into wire.ResultColumns. Virtual send times are unchanged: a
-// probe's time is fixed by its position in the per-protocol permutation,
-// recovered through the inverse permutation, so the batched engine is
-// probe-for-probe identical to the per-probe reference at any worker
-// count and chunk size (pinned by test).
+// This file is the batched, structure-of-arrays scan engine. ScanColumns
+// walks each worker's shard in TARGET-INDEX order — so a sorted target
+// view presents the responder with sorted runs it can resolve once per
+// run — and hands the responder whole batches that write straight into
+// wire.ResultColumns. A probe's virtual send time is fixed by its
+// position in the per-protocol permutation, recovered through the
+// inverse permutation, so the batched engine is probe-for-probe
+// identical to a per-probe walk of the permutation at any worker count
+// and chunk size (pinned against such a reference by test).
 
 // batchLen is the inner batch size handed to the responder: large enough
 // to amortize the call, small enough to keep gather scratch cache-warm.
 const batchLen = 512
 
-// shardAligned is shard with chunk boundaries aligned to 64 indices, so
-// concurrent workers never share a word of the OK bitset.
+// shardAligned splits the index range [0,n) into s.workers contiguous
+// chunks, aligned to 64 indices so concurrent workers never share a word
+// of the OK bitset, and runs fn(lo,hi) for each on its own goroutine,
+// returning once all chunks finish.
 func (s *Scanner) shardAligned(n int, fn func(lo, hi int)) {
 	chunk := (n + s.workers - 1) / s.workers
 	chunk = (chunk + 63) &^ 63
@@ -53,8 +54,11 @@ func (s *Scanner) TCPTable() *wire.TCPTable { return s.tcp }
 // ScanColumns probes every target once (plus retries) on the given
 // protocol during the given day, writing results into out, which must
 // have been Reset (or ResetOK, for mask-only consumers) for exactly
-// targets.Len() targets. Column i describes target i; probe order over
-// the wire and virtual send times are identical to Scan's.
+// targets.Len() targets. Column i describes target i. The probe ORDER
+// over the wire follows a pseudo-random permutation, like ZMap's address
+// randomization, so bursts never hammer one prefix. Safe for concurrent
+// use, as long as the Responder honors the concurrency contract
+// documented in netsim.
 func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns) {
 	s.scanColumns(targets, proto, day, out, nil)
 }
@@ -156,7 +160,7 @@ func (s *Scanner) scanChunk(targets ip6.AddrSeq, proto wire.Proto, day int, lo, 
 
 // retryState holds the scratch of the in-chunk retry passes: the failed
 // subset is re-batched with each attempt's send time shifted one full
-// scan length later, exactly like the per-probe engine's retry loop.
+// scan length later.
 type retryState struct {
 	idx  []int
 	dsts []ip6.Addr
@@ -281,9 +285,10 @@ type PairColumns struct {
 	First, Second wire.ResultColumns
 }
 
-// ProbePairColumns is the batched ProbePairsSeq: two back-to-back probes
-// per target written into pair columns, probe-for-probe identical to the
-// per-probe path (same permutation, same send times).
+// ProbePairColumns sends two back-to-back TCP probes with the options
+// module to every target (the §5.4 fingerprint consistency analysis),
+// writing both into pair columns. Pairs follow their own permutation;
+// the second probe of a pair leaves one interval after the first.
 func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *PairColumns) {
 	n := targets.Len()
 	out.First.Reset(n, s.tcp)

@@ -271,7 +271,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBatchLegacy is the same scan via per-probe Scan.
+// BenchmarkProbeBatchLegacy is the same scan via the per-probe reference.
 func BenchmarkProbeBatchLegacy(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()

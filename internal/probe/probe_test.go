@@ -53,7 +53,7 @@ func TestScanBasic(t *testing.T) {
 		}
 	}
 	s := New(f, WithWorkers(4))
-	res := s.Scan(targets, wire.ICMPv6, 0)
+	res := s.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0)
 	if len(res) != 100 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -68,7 +68,7 @@ func TestScanBasic(t *testing.T) {
 }
 
 // TestScanDeterministicAcrossWorkers pins the engine's core contract:
-// Scan, Sweep and ProbePairs return identical results for any worker
+// ScanSeq, SweepSeq and ProbePairsSeq return identical results for any worker
 // count, because virtual send times follow permutation position, not
 // goroutine scheduling.
 func TestScanDeterministicAcrossWorkers(t *testing.T) {
@@ -88,12 +88,12 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	ref := New(f, WithWorkers(1))
-	refScan := ref.Scan(targets, wire.TCP80, 2)
-	refSweep := ref.Sweep(targets, 2)
-	refPairs := ref.ProbePairs(targets, wire.TCP80, 2)
+	refScan := ref.ScanSeq(ip6.Addrs(targets), wire.TCP80, 2)
+	refSweep := ref.SweepSeq(ip6.Addrs(targets), 2)
+	refPairs := ref.ProbePairsSeq(ip6.Addrs(targets), wire.TCP80, 2)
 	for _, workers := range []int{1, 4, 16} {
 		s := New(f, WithWorkers(workers))
-		res := s.Scan(targets, wire.TCP80, 2)
+		res := s.ScanSeq(ip6.Addrs(targets), wire.TCP80, 2)
 		for i := range refScan {
 			if refScan[i].OK != res[i].OK || refScan[i].SentAt != res[i].SentAt {
 				t.Fatalf("workers=%d: result %d differs from serial scan", workers, i)
@@ -102,13 +102,13 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: fingerprint %d differs", workers, i)
 			}
 		}
-		sweep := s.Sweep(targets, 2)
+		sweep := s.SweepSeq(ip6.Addrs(targets), 2)
 		for i := range refSweep {
 			if sweep[i] != refSweep[i] {
 				t.Fatalf("workers=%d: sweep mask %d = %v, want %v", workers, i, sweep[i], refSweep[i])
 			}
 		}
-		pairs := s.ProbePairs(targets, wire.TCP80, 2)
+		pairs := s.ProbePairsSeq(ip6.Addrs(targets), wire.TCP80, 2)
 		for i := range refPairs {
 			if pairs[i].First.SentAt != refPairs[i].First.SentAt ||
 				pairs[i].Second.SentAt != refPairs[i].Second.SentAt ||
@@ -123,7 +123,7 @@ func TestScanRateSpacing(t *testing.T) {
 	targets := addrs(10)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
 	s := New(f, WithRate(1000), WithWorkers(1)) // 1000 μs interval
-	res := s.Scan(targets, wire.ICMPv6, 0)
+	res := s.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0)
 	seen := map[wire.Time]bool{}
 	for _, r := range res {
 		if r.SentAt%1000 != 0 {
@@ -147,7 +147,7 @@ func TestRetries(t *testing.T) {
 	// Without retries, early probes fail (sent before failBefore).
 	s0 := New(f, WithRate(1000), WithWorkers(1), WithRetries(0))
 	ok0 := 0
-	for _, r := range s0.Scan(targets, wire.ICMPv6, 0) {
+	for _, r := range s0.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0) {
 		if r.OK {
 			ok0++
 		}
@@ -155,7 +155,7 @@ func TestRetries(t *testing.T) {
 	// With retries, the second pass lands after the threshold.
 	s3 := New(f, WithRate(1000), WithWorkers(1), WithRetries(9))
 	ok3 := 0
-	for _, r := range s3.Scan(targets, wire.ICMPv6, 0) {
+	for _, r := range s3.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0) {
 		if r.OK {
 			ok3++
 		}
@@ -176,7 +176,7 @@ func TestSweep(t *testing.T) {
 	m.Set(wire.UDP53)
 	f.up[targets[7]] = m
 	s := New(f, WithWorkers(3))
-	masks := s.Sweep(targets, 0)
+	masks := s.SweepSeq(ip6.Addrs(targets), 0)
 	if !masks[7].Has(wire.ICMPv6) || !masks[7].Has(wire.UDP53) || masks[7].Has(wire.TCP80) {
 		t.Errorf("mask[7] = %v", masks[7])
 	}
@@ -194,7 +194,7 @@ func TestProbePairs(t *testing.T) {
 		f.up[a] = m
 	}
 	s := New(f, WithWorkers(4))
-	pairs := s.ProbePairs(targets, wire.TCP80, 0)
+	pairs := s.ProbePairsSeq(ip6.Addrs(targets), wire.TCP80, 0)
 	for i, pr := range pairs {
 		if !pr.First.OK || !pr.Second.OK {
 			t.Fatalf("pair %d not answered", i)
@@ -262,12 +262,12 @@ func TestProbeCount(t *testing.T) {
 	targets := addrs(100)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
 	s := New(f, WithRetries(0), WithWorkers(2))
-	s.Scan(targets, wire.ICMPv6, 0)
+	s.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0)
 	if got := f.probes.Load(); got != 100 {
 		t.Errorf("sent %d probes, want 100", got)
 	}
 	f.probes.Store(0)
-	s.Sweep(targets, 0)
+	s.SweepSeq(ip6.Addrs(targets), 0)
 	if got := f.probes.Load(); got != 500 {
 		t.Errorf("sweep sent %d probes, want 500", got)
 	}
@@ -279,6 +279,6 @@ func BenchmarkScan(b *testing.B) {
 	s := New(f, WithWorkers(8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Scan(targets, wire.ICMPv6, 0)
+		s.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 0)
 	}
 }

@@ -292,14 +292,11 @@ type RunupPoint struct {
 	Total      int
 }
 
-// NewStore creates a store over the given sources (order = priority for
-// "new address" attribution, mirroring Table 2's source order), using all
-// available CPUs for batch set operations.
-func NewStore(srcs ...Source) *Store { return NewStoreWorkers(0, srcs...) }
-
-// NewStoreWorkers creates a store with an explicit data-plane worker
-// count (<= 0 selects GOMAXPROCS). Purely a throughput knob: store
-// contents, statistics and iteration order are identical for every value.
+// NewStoreWorkers creates a store over the given sources (order =
+// priority for "new address" attribution, mirroring Table 2's source
+// order) with an explicit data-plane worker count (<= 0 selects
+// GOMAXPROCS). Purely a throughput knob: store contents, statistics and
+// iteration order are identical for every value.
 func NewStoreWorkers(workers int, srcs ...Source) *Store {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
