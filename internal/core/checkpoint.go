@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"expanse/internal/apd"
+	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 	"expanse/internal/snap"
 )
@@ -40,11 +41,12 @@ import (
 // byte-identity guarantee cheap to state: a resumed run feeds Seal and
 // ProbeDay the same inputs the uninterrupted run fed them.
 //
-// Every file carries a config pin (simulation seed/scale/epochs plus
-// the APD parameters). Resume refuses a directory whose pin differs
-// from its Config — EXCEPT Workers and Overlap, which are throughput
-// knobs with byte-identical results and may differ freely between the
-// saving and the resuming run.
+// Every file carries a config pin (simulation seed/scale/epochs, the
+// routing registry's parameters, plus the APD parameters). Resume
+// refuses a directory whose pin differs from its Config — EXCEPT
+// Workers and Overlap, which are throughput knobs with byte-identical
+// results and may differ freely between the saving and the resuming
+// run.
 
 // EpochPath returns the snapshot file path of APD day index i.
 func EpochPath(dir string, i int) string {
@@ -80,6 +82,9 @@ func (p *Pipeline) pin(w *snap.Writer) {
 	w.F64(p.Cfg.Sim.Scale)
 	w.Int(p.Cfg.Sim.Epochs)
 	w.Int(p.Cfg.Sim.EpochDays)
+	w.Int(p.Cfg.Sim.Registry.ASes)
+	w.F64(p.Cfg.Sim.Registry.PrefixesPerAS)
+	w.U64(uint64(p.Cfg.Sim.Registry.Seed))
 	w.Int(p.Cfg.APDWindow)
 	w.Int(p.Cfg.MinTargets)
 }
@@ -90,6 +95,10 @@ func checkPin(r *snap.Reader, cfg Config) error {
 	scale := r.F64()
 	epochs := r.Int()
 	epochDays := r.Int()
+	var reg bgp.RegistryConfig
+	reg.ASes = r.Int()
+	reg.PrefixesPerAS = r.F64()
+	reg.Seed = int64(r.U64())
 	window := r.Int()
 	minTargets := r.Int()
 	if err := r.Err(); err != nil {
@@ -97,9 +106,10 @@ func checkPin(r *snap.Reader, cfg Config) error {
 	}
 	if seed != uint64(cfg.Sim.Seed) || scale != cfg.Sim.Scale ||
 		epochs != cfg.Sim.Epochs || epochDays != cfg.Sim.EpochDays ||
+		reg != cfg.Sim.Registry ||
 		window != cfg.APDWindow || minTargets != cfg.MinTargets {
-		return fmt.Errorf("core: snapshot config pin (seed=%#x scale=%g epochs=%d epochDays=%d window=%d minTargets=%d) does not match the resuming config",
-			seed, scale, epochs, epochDays, window, minTargets)
+		return fmt.Errorf("core: snapshot config pin (seed=%#x scale=%g epochs=%d epochDays=%d registry=%+v window=%d minTargets=%d) does not match the resuming config",
+			seed, scale, epochs, epochDays, reg, window, minTargets)
 	}
 	return nil
 }
@@ -117,8 +127,9 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 }
 
 // writeSnapFile writes a snapshot atomically — temp file in the same
-// directory, then rename, so a crash mid-write never leaves a
-// plausible-looking truncated snapshot behind — and returns the bytes
+// directory, synced, then renamed, so a crash mid-write never leaves a
+// plausible-looking truncated snapshot behind and a file under its final
+// name is on disk, not only in the page cache — and returns the bytes
 // written.
 func writeSnapFile(path string, fill func(w *snap.Writer)) (int64, error) {
 	dir := filepath.Dir(path)
@@ -131,6 +142,9 @@ func writeSnapFile(path string, fill func(w *snap.Writer)) (int64, error) {
 	w := snap.NewWriter(cw)
 	fill(w)
 	err = w.Close()
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

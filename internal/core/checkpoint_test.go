@@ -134,11 +134,19 @@ func TestResumeRejectsCorruption(t *testing.T) {
 		t.Fatal("Resume(-1) succeeded")
 	}
 
-	other := cfg
-	other.Sim.Scale = cfg.Sim.Scale * 2
-	if _, _, err := Resume(other, dir, 1); err == nil ||
-		!strings.Contains(err.Error(), "config pin") {
-		t.Fatalf("config-pin mismatch err = %v", err)
+	for _, m := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"scale", func(c *Config) { c.Sim.Scale *= 2 }},
+		{"registry seed", func(c *Config) { c.Sim.Registry.Seed++ }},
+	} {
+		other := cfg
+		m.mutate(&other)
+		if _, _, err := Resume(other, dir, 1); err == nil ||
+			!strings.Contains(err.Error(), "config pin") {
+			t.Fatalf("%s mismatch: config-pin err = %v", m.name, err)
+		}
 	}
 
 	// Truncate one epoch file: resume through it must error.

@@ -97,25 +97,22 @@ func TestEpochPipelineGoldens(t *testing.T) {
 // TestRunDaysFuncStreams pins the streaming contract: the callback
 // observes every epoch exactly once, in day order, after the publish
 // point has swapped (Latest is the callback's epoch), and the stream
-// is byte-identical to a reference run of the same configuration. The
-// streaming leg also forces periodic collections (ForceGCDays) to pin
-// that the knob is output-neutral.
+// is byte-identical to a reference run of the same configuration.
 func TestRunDaysFuncStreams(t *testing.T) {
 	const days = 5
-	build := func(forceGC int) *Pipeline {
+	build := func() *Pipeline {
 		cfg := TestConfig()
 		cfg.Sim.Scale = 0.03
 		cfg.Sim.Registry.ASes = 120
 		cfg.Overlap = 2
-		cfg.ForceGCDays = forceGC
 		p := New(cfg)
 		p.Collect()
 		return p
 	}
-	ref := build(0)
+	ref := build()
 	want := runDays(ref, ref.World.Horizon(), days)
 
-	p := build(2)
+	p := build()
 	var got []string
 	p.RunDaysFunc(p.World.Horizon(), days, func(e *Epoch) {
 		if latest := p.Latest(); latest != e {

@@ -77,7 +77,6 @@ func (p *Pipeline) RunDaysFunc(start, n int, fn func(*Epoch)) {
 			// earlier days never touch it).
 			p.saveCheckpoint(draft)
 		}
-		p.maybeForceGC()
 		wg.Add(1)
 		go func(d int, draft *EpochDraft) {
 			defer wg.Done()

@@ -23,10 +23,10 @@ var DefaultSealedTypes = []SealedType{
 }
 
 // DefaultDetRand scopes detrand to the planes whose outputs must be
-// byte-identical for a fixed seed at any worker count. cmd/bench* and
-// internal/prof measure wall-clock on purpose and are exempt (they are
-// also outside the deterministic set, but the carve-out is explicit so
-// the policy survives future set growth).
+// byte-identical for a fixed seed at any worker count. internal/prof
+// measures wall-clock on purpose and is exempt (it is also outside the
+// deterministic set, but the carve-out is explicit so the policy
+// survives future set growth).
 var DefaultDetRand = DetRandConfig{
 	Deterministic: []string{
 		"expanse/internal/core",
@@ -37,7 +37,6 @@ var DefaultDetRand = DetRandConfig{
 		"expanse/internal/entropy",
 	},
 	Exempt: []string{
-		"expanse/cmd/bench",
 		"expanse/internal/prof",
 	},
 }

@@ -3,6 +3,7 @@ package lint_test
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestDetRand(t *testing.T) {
 }
 
 // TestDetRandExempt pins the carve-out: a package in both sets is
-// exempt (cmd/bench*, internal/prof).
+// exempt (internal/prof).
 func TestDetRandExempt(t *testing.T) {
 	linttest.Run(t, src, "detrandexempt", lint.NewDetRand(fixtureDetRand))
 }
@@ -102,9 +103,10 @@ func TestDefaultAnalyzers(t *testing.T) {
 
 // TestDefaultTablesResolve pins the repo tables against the tree: every
 // DefaultHotFuncs entry must name a function or method declared in its
-// package, and every DefaultSealedTypes entry a type declared there. A
-// deletion or rename would otherwise drop the entry's coverage
-// silently, since an analyzer never reports on a name it cannot find.
+// package, every DefaultSealedTypes entry a type declared there, and
+// every DefaultDetRand path a package of the module. A deletion or
+// rename would otherwise drop the entry's coverage silently, since an
+// analyzer never reports on a name it cannot find.
 func TestDefaultTablesResolve(t *testing.T) {
 	modPath, modRoot, err := lint.FindModule(".")
 	if err != nil {
@@ -140,6 +142,11 @@ func TestDefaultTablesResolve(t *testing.T) {
 		}
 		if _, ok := load(s.Qualified[:i]).Types.Scope().Lookup(s.Qualified[i+1:]).(*types.TypeName); !ok {
 			t.Errorf("DefaultSealedTypes: %s names no declared type", s.Qualified)
+		}
+	}
+	for _, path := range slices.Concat(lint.DefaultDetRand.Deterministic, lint.DefaultDetRand.Exempt) {
+		if _, err := loader.Load(path); err != nil {
+			t.Errorf("DefaultDetRand: %s names no package in the module: %v", path, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package detrandexempt is the detrand carve-out fixture: the analyzer
 // runs with this path in both Deterministic and Exempt (modeling
-// cmd/bench* and internal/prof, where measuring wall-clock is the
-// point), so nothing here is flagged.
+// internal/prof, where measuring wall-clock is the point), so nothing
+// here is flagged.
 package detrandexempt
 
 import "time"

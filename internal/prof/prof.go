@@ -8,9 +8,7 @@ package prof
 import (
 	"bufio"
 	"flag"
-	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -77,26 +75,6 @@ func (p *Profiles) Stop() error {
 	return pprof.Lookup("heap").WriteTo(f, 0)
 }
 
-// HeapSnapshotEnv writes an inuse heap profile to
-// $EXPANSE_HEAPPROF_DIR/heap_<tag>.pprof and is a no-op when the
-// variable is unset. Long-running phases call it from quiet points
-// (the day loop's forced-GC hook) so a run's heap growth can be
-// diffed profile-against-profile mid-flight — end-of-run -memprofile
-// only shows the final state, which is exactly what a
-// retention-during-the-run bug hides from.
-func HeapSnapshotEnv(tag string) error {
-	dir := os.Getenv("EXPANSE_HEAPPROF_DIR")
-	if dir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(dir, "heap_"+tag+".pprof"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pprof.Lookup("heap").WriteTo(f, 0)
-}
-
 // HostMeta is the host fingerprint embedded in benchmark JSON.
 type HostMeta struct {
 	GoVersion  string `json:"go_version"`
@@ -145,28 +123,4 @@ func PeakRSS() int64 {
 		return kb * 1024
 	}
 	return 0
-}
-
-// LiveHeap forces a GC and returns the live heap bytes — the number
-// memory audits compare against the planes' self-reported MemBytes.
-func LiveHeap() int64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
-}
-
-// FmtBytes renders a byte count human-readably (KiB/MiB/GiB) for log
-// lines; JSON always carries raw byte counts.
-func FmtBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
 }

@@ -24,12 +24,6 @@ func TestPeakRSS(t *testing.T) {
 	}
 }
 
-func TestLiveHeap(t *testing.T) {
-	if n := LiveHeap(); n <= 0 {
-		t.Fatalf("LiveHeap = %d", n)
-	}
-}
-
 // TestProfilesRoundTrip drives the flag plumbing end to end: both
 // profiles requested, Start/Stop, and non-empty pprof files on disk.
 func TestProfilesRoundTrip(t *testing.T) {
@@ -60,20 +54,6 @@ func TestProfilesRoundTrip(t *testing.T) {
 		}
 		if st.Size() == 0 {
 			t.Fatalf("%s is empty", path)
-		}
-	}
-}
-
-func TestFmtBytes(t *testing.T) {
-	cases := map[int64]string{
-		512:     "512 B",
-		2 << 10: "2.00 KiB",
-		3 << 20: "3.00 MiB",
-		5 << 30: "5.00 GiB",
-	}
-	for n, want := range cases {
-		if got := FmtBytes(n); got != want {
-			t.Fatalf("FmtBytes(%d) = %q, want %q", n, got, want)
 		}
 	}
 }
