@@ -21,11 +21,11 @@ package apd
 
 import (
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"expanse/internal/ip6"
 	"expanse/internal/probe"
+	"expanse/internal/seedrand"
 	"expanse/internal/wire"
 )
 
@@ -43,24 +43,15 @@ var DefaultProtocols = []wire.Proto{wire.ICMPv6, wire.TCP80}
 // address inside each of its 16 next-level subprefixes (Table 3). The
 // addresses are deterministic per prefix, so the same targets are probed
 // every day — the sliding window of §5.2 tracks per-address responses.
+// The 32 draws come from seedrand rather than a seeded math/rand
+// generator, so regenerating a prefix's targets each day is cheaper than
+// remembering them.
 func FanOut(p ip6.Prefix) [Branches]ip6.Addr {
-	return fanOutWith(rand.New(rand.NewSource(fanSeed(p))), p)
-}
-
-// fanOutWith is FanOut over a caller-owned generator, reseeded in place.
-// Seeding math/rand fills a 607-word state array; deriving millions of
-// day-0 candidates through fresh sources churned gigabytes of garbage,
-// while reseeding rewrites one array. Output is identical: a reseeded
-// generator is state-for-state a freshly constructed one.
-func fanOutWith(rng *rand.Rand, p ip6.Prefix) [Branches]ip6.Addr {
-	rng.Seed(fanSeed(p))
+	rng := seedrand.New(fanSeed(p))
+	sub := min(p.Bits()+4, 128)
 	var out [Branches]ip6.Addr
-	sub := p.Bits() + 4
-	if sub > 128 {
-		sub = 128
-	}
-	for i := 0; i < Branches; i++ {
-		out[i] = p.Subprefix(sub, uint64(i)).RandomAddr(rng)
+	for i := range out {
+		out[i] = p.Subprefix(sub, uint64(i)).AddrFrom(rng.Uint64(), rng.Uint64())
 	}
 	return out
 }
@@ -98,25 +89,19 @@ const AllBranches BranchMask = 1<<Branches - 1
 func (m BranchMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Detector runs APD probing rounds. A Detector is not safe for
-// concurrent ProbeDayFlat calls (it accumulates ProbesSent and a fan-out
-// cache); each call parallelizes internally across protocols × worker
+// concurrent ProbeDayFlat calls (it accumulates ProbesSent and reuses its
+// scratch); each call parallelizes internally across protocols × worker
 // shards.
 type Detector struct {
 	scanner   *probe.Scanner
 	protocols []wire.Proto
 	workers   int
-	// fanCache memoizes per-prefix fan-out targets: candidates are
-	// re-probed daily with the same deterministic targets (§5.2), so the
-	// 16 RNG draws per prefix are paid once, not once per day.
-	fanCache map[ip6.Prefix][Branches]ip6.Addr
 	// cols are the per-protocol mask-only result columns of ProbeDayFlat,
 	// reused across probing days (an OK bit per fan-out target is all the
 	// branch merge needs).
 	cols []wire.ResultColumns
-	// fanRNG is the reseeded-per-prefix generator behind fanCache fills;
 	// targets is the flattened fan-out target scratch, reused across days
 	// (day 0 sizes it at the full candidate set; narrowed days reslice).
-	fanRNG  *rand.Rand
 	targets []ip6.Addr
 	// ProbesSent accumulates the number of probe packets sent, for the
 	// bandwidth comparison of §5.5.
@@ -162,24 +147,18 @@ func (d *Detector) Workers() int { return d.workers }
 // concurrently; the mask fold is sharded over candidates after the
 // barrier. Results are identical for every worker count.
 func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
-	// Flatten: 16 targets per candidate, probe once per protocol.
-	if d.fanCache == nil {
-		d.fanCache = make(map[ip6.Prefix][Branches]ip6.Addr, len(cands))
-		d.fanRNG = rand.New(rand.NewSource(0))
-	}
+	// Flatten: 16 targets per candidate, regenerated each day in worker
+	// shards, probed once per protocol.
 	if want := len(cands) * Branches; cap(d.targets) < want {
-		d.targets = make([]ip6.Addr, 0, want)
+		d.targets = make([]ip6.Addr, want)
 	}
-	targets := d.targets[:0]
-	for _, c := range cands {
-		fo, ok := d.fanCache[c.Prefix]
-		if !ok {
-			fo = fanOutWith(d.fanRNG, c.Prefix)
-			d.fanCache[c.Prefix] = fo
+	targets := d.targets[:len(cands)*Branches]
+	d.shard(len(cands), func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			fo := FanOut(cands[ci].Prefix)
+			copy(targets[ci*Branches:], fo[:])
 		}
-		targets = append(targets, fo[:]...)
-	}
-	d.targets = targets
+	})
 
 	if d.cols == nil {
 		d.cols = make([]wire.ResultColumns, len(d.protocols))
@@ -199,28 +178,31 @@ func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 	// Sharded fold: each worker extracts its candidates' 16-bit branch
 	// windows from the protocol bitsets.
 	flat := make([]BranchMask, len(cands))
-	chunk := (len(cands) + d.workers - 1) / d.workers
-	if chunk > 0 {
-		for lo := 0; lo < len(cands); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cands) {
-				hi = len(cands)
+	d.shard(len(cands), func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			var m BranchMask
+			for pi := range d.cols {
+				m |= BranchMask(d.cols[pi].OK.Extract16(ci * Branches))
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for ci := lo; ci < hi; ci++ {
-					var m BranchMask
-					for pi := range d.cols {
-						m |= BranchMask(d.cols[pi].OK.Extract16(ci * Branches))
-					}
-					flat[ci] = m
-				}
-			}(lo, hi)
+			flat[ci] = m
 		}
-		wg.Wait()
-	}
+	})
 	return flat
+}
+
+// shard runs fn over [0, n) in one contiguous chunk per worker and waits
+// for all chunks.
+func (d *Detector) shard(n int, fn func(lo, hi int)) {
+	var wg sync.WaitGroup
+	chunk := (n + d.workers - 1) / d.workers
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
 }
 
 // NestedCase classifies a (more specific, less specific) candidate pair

@@ -1,11 +1,11 @@
 package apd
 
 import (
-	"math/rand"
 	"sort"
 
 	"expanse/internal/ip6"
 	"expanse/internal/probe"
+	"expanse/internal/seedrand"
 	"expanse/internal/wire"
 )
 
@@ -52,9 +52,9 @@ func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) map[ip6.Prefix]
 	const perPrefix = 3
 	targets := make([]ip6.Addr, 0, len(prefixes)*perPrefix)
 	for _, p := range prefixes {
-		rng := rand.New(rand.NewSource(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96)))
+		rng := seedrand.New(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96))
 		for i := 0; i < perPrefix; i++ {
-			targets = append(targets, p.RandomAddr(rng))
+			targets = append(targets, p.AddrFrom(rng.Uint64(), rng.Uint64()))
 		}
 	}
 	answered := make([]bool, len(targets))

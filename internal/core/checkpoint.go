@@ -114,34 +114,24 @@ func checkPin(r *snap.Reader, cfg Config) error {
 	return nil
 }
 
-// countWriter counts bytes on their way to the underlying writer.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// writeSnapFile writes a snapshot atomically — temp file in the same
-// directory, synced, then renamed, so a crash mid-write never leaves a
-// plausible-looking truncated snapshot behind and a file under its final
-// name is on disk, not only in the page cache — and returns the bytes
-// written.
+// writeSnapFile writes a snapshot atomically and returns the bytes
+// written. It writes a temp file in the same directory, syncs it, renames
+// it and syncs the directory: a crash mid-write never leaves a
+// plausible-looking truncated snapshot behind, and a file under its final
+// name is on disk, rename included, not only in the page cache.
 func writeSnapFile(path string, fill func(w *snap.Writer)) (int64, error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".snap-*")
 	if err != nil {
 		return 0, err
 	}
-	tmp := f.Name()
-	cw := &countWriter{w: f}
-	w := snap.NewWriter(cw)
+	w := snap.NewWriter(f)
 	fill(w)
 	err = w.Close()
+	var n int64
+	if err == nil {
+		n, err = f.Seek(0, io.SeekCurrent)
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -149,13 +139,23 @@ func writeSnapFile(path string, fill func(w *snap.Writer)) (int64, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return 0, err
 	}
-	return cw.n, nil
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // nextSection advances r to the section with the wanted tag, skipping

@@ -115,10 +115,8 @@ func (p Prefix) Subprefix(newLen int, idx uint64) Prefix {
 		a.lo |= idx << (128 - newLen)
 	} else {
 		// The sub-prefix bits straddle the 64-bit boundary.
-		loBits := newLen - 64
-		a.lo |= idx << (128 - newLen) // low part
-		hiPart := idx >> loBits
-		a.hi |= hiPart
+		a.lo |= idx << (128 - newLen)
+		a.hi |= idx >> (newLen - 64)
 	}
 	return Prefix{addr: a, bits: uint8(newLen)}
 }
@@ -132,20 +130,22 @@ func (p Prefix) NumAddresses() uint64 {
 	return uint64(1) << (128 - int(p.bits))
 }
 
-// RandomAddr returns a pseudo-random address inside the prefix drawn from
-// rng. The host bits are uniform random; the network bits are fixed.
-func (p Prefix) RandomAddr(rng *rand.Rand) Addr {
-	r := Addr{hi: rng.Uint64(), lo: rng.Uint64()}
+// RandomAddr returns AddrFrom over two Uint64 draws from rng.
+func (p Prefix) RandomAddr(rng *rand.Rand) Addr { return p.AddrFrom(rng.Uint64(), rng.Uint64()) }
+
+// AddrFrom returns the address inside the prefix whose host bits are
+// taken from (hi, lo); the network bits are fixed.
+func (p Prefix) AddrFrom(hi, lo uint64) Addr {
 	l := int(p.bits)
 	switch {
 	case l <= 0:
-		return r
+		return Addr{hi: hi, lo: lo}
 	case l >= 128:
 		return p.addr
 	case l <= 64:
-		return Addr{hi: p.addr.hi | r.hi&(^uint64(0)>>l), lo: r.lo}
+		return Addr{hi: p.addr.hi | hi&(^uint64(0)>>l), lo: lo}
 	default:
-		return Addr{hi: p.addr.hi, lo: p.addr.lo | r.lo&(^uint64(0)>>(l-64))}
+		return Addr{hi: p.addr.hi, lo: p.addr.lo | lo&(^uint64(0)>>(l-64))}
 	}
 }
 

@@ -23,10 +23,9 @@ var DefaultSealedTypes = []SealedType{
 }
 
 // DefaultDetRand scopes detrand to the planes whose outputs must be
-// byte-identical for a fixed seed at any worker count. internal/prof
-// measures wall-clock on purpose and is exempt (it is also outside the
-// deterministic set, but the carve-out is explicit so the policy
-// survives future set growth).
+// byte-identical for a fixed seed at any worker count, and to seedrand,
+// which derives their per-key draws. internal/prof measures wall-clock on
+// purpose and is exempt explicitly, so the carve-out survives set growth.
 var DefaultDetRand = DetRandConfig{
 	Deterministic: []string{
 		"expanse/internal/core",
@@ -35,27 +34,28 @@ var DefaultDetRand = DetRandConfig{
 		"expanse/internal/netsim",
 		"expanse/internal/cluster",
 		"expanse/internal/entropy",
+		"expanse/internal/seedrand",
 	},
 	Exempt: []string{
 		"expanse/internal/prof",
 	},
 }
 
-// DefaultHotFuncs designates the per-probe/per-candidate inner loops —
-// the functions PRs 4-7 repeatedly had to de-allocate by profile.
+// DefaultHotFuncs designates the per-probe and per-candidate hot paths.
 var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/probe", Func: "ScanColumns"},
 	{PkgPath: "expanse/internal/probe", Func: "scanColumns"},
 	{PkgPath: "expanse/internal/probe", Func: "scanChunk"},
 	{PkgPath: "expanse/internal/netsim", Func: "ProbeBatch"},
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
-	// The columnar world plane's resolution primitives: the sorted-column
-	// binary searches and the batch-path merge cursors (hostRun.lookup and
-	// ivalRun.lookup both match "lookup" — both are per-probe hot).
+	{PkgPath: "expanse/internal/netsim", Func: "newMachine"},
+	// The world plane's sorted-column binary searches and batch-path merge
+	// cursors (hostRun.lookup and ivalRun.lookup both match "lookup").
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},
 	{PkgPath: "expanse/internal/apd", Func: "ProbeDayFlat"},
+	{PkgPath: "expanse/internal/apd", Func: "FanOut"},
 	{PkgPath: "expanse/internal/apd", Func: "MergeColumns"},
 	{PkgPath: "expanse/internal/wire", Func: "ProbeBatchInto"},
 	{PkgPath: "expanse/internal/ip6", Func: "LookupInterval"},

@@ -25,9 +25,9 @@ type DetRandConfig struct {
 // (wall clock leaking into state), the global math/rand functions
 // (process-wide source, seeded who-knows-where, shared across
 // goroutines), and crypto/rand (hardware entropy). Seeded generators
-// (rand.New(rand.NewSource(seed))) remain the sanctioned pattern; the
-// global-function check is also what catches "unseeded" construction
-// like rand.NewSource(rand.Int63()).
+// (rand.New(rand.NewSource(seed)), or seedrand.New(key) for a few draws
+// per key) remain the sanctioned pattern; the global-function check also
+// catches "unseeded" construction like rand.NewSource(rand.Int63()).
 func NewDetRand(cfg DetRandConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "detrand",

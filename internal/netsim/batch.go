@@ -37,12 +37,10 @@ type batchTabs struct {
 // batchTables compiles (once) and returns the interval tables.
 func (in *Internet) batchTables() *batchTabs {
 	in.batchOnce.Do(func() {
-		regionIDs := idRange(len(in.regions))
 		netIDs := idRange(len(in.nets))
-		regionPrefix := func(i int32) ip6.Prefix { return in.regions[i].Prefix }
 		netPrefix := func(i int32) ip6.Prefix { return in.nets[i].prefix }
 		in.batch = &batchTabs{
-			alias: compileLongest(regionIDs, regionPrefix),
+			alias: compileLongest(idRange(len(in.regions)), func(i int32) ip6.Prefix { return in.regions[i].Prefix }),
 			nets:  compileLongest(netIDs, netPrefix),
 			pools: compileShortest(netIDs, netPrefix),
 		}
@@ -199,11 +197,12 @@ func (in *Internet) emit(out *wire.ResultColumns, i int, raw rawResponse, day in
 		out.HopLimit[i] = raw.hop
 	}
 	if raw.tcp && out.TCPRef != nil {
-		fp := raw.m.fingerprint()
+		m := newMachine(raw.mk)
+		fp := m.fingerprint()
 		fp.WSize += raw.wsizeAdd
 		fp.MSS -= raw.mssSub
 		out.TCPRef[i] = out.Table.Intern(fp)
-		if present, v := raw.m.tsVal(raw.dstKey, day, at); present {
+		if present, v := m.tsVal(raw.dstKey, day, at); present {
 			out.TSVal[i] = v
 		}
 	}

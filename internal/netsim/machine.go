@@ -1,8 +1,7 @@
 package netsim
 
 import (
-	"math/rand"
-
+	"expanse/internal/seedrand"
 	"expanse/internal/wire"
 )
 
@@ -53,34 +52,19 @@ var optLayoutWeights = []float64{0.995, 0.002, 0.0015, 0.001, 0.0005}
 var ittlValues = []uint8{64, 255, 128, 32}
 var ittlWeights = []float64{0.72, 0.17, 0.10, 0.01}
 
-// machineFor returns the memoized machine profile for a key. Keys come
-// from a population bounded by the world's machines (hosts, CPE lines,
-// alias regions, plus quirk-derived variants), but profiles are needed on
-// every probe answer: deriving one seeds a full math/rand generator (a
-// 607-word fill), which dominated probe cost before memoization. The
-// cache lives on the Internet — keys are salted with the world key, so
-// sharing across worlds would only accumulate dead entries — and
-// sync.Map gives the lock-free read path the concurrent scanner workers
-// need.
-func (in *Internet) machineFor(key uint64) machine {
-	if m, ok := in.machines.Load(key); ok {
-		return m.(machine)
-	}
-	m := newMachine(key)
-	in.machines.Store(key, m)
-	return m
-}
-
-// newMachine derives a deterministic machine profile from a key.
+// newMachine derives a machine profile from its key. The draws are those
+// of rand.New(rand.NewSource(key)), computed by seedrand without seeding
+// a generator, so a profile costs a few hundred nanoseconds and is derived
+// wherever a fingerprint is emitted instead of being memoized.
 func newMachine(key uint64) machine {
-	rng := rand.New(rand.NewSource(int64(key)))
+	rng := seedrand.New(int64(key))
 	m := machine{key: key}
-	m.iTTL = pickWeighted(rng, ittlValues, ittlWeights)
-	m.optText = pickWeighted(rng, optLayouts, optLayoutWeights)
-	m.mss = []uint16{1440, 1460, 1380, 8940}[weightedIdx(rng, []float64{0.55, 0.35, 0.07, 0.03})]
-	m.wscale = []uint8{7, 8, 9, 5, 2}[weightedIdx(rng, []float64{0.5, 0.2, 0.15, 0.1, 0.05})]
-	m.wsize = []uint16{28800, 65535, 64240, 14600, 29200}[weightedIdx(rng, []float64{0.35, 0.25, 0.2, 0.1, 0.1})]
-	switch weightedIdx(rng, []float64{0.52, 0.36, 0.04, 0.08}) {
+	m.iTTL = pickWeighted(&rng, ittlValues, ittlWeights)
+	m.optText = pickWeighted(&rng, optLayouts, optLayoutWeights)
+	m.mss = []uint16{1440, 1460, 1380, 8940}[weightedIdx(&rng, []float64{0.55, 0.35, 0.07, 0.03})]
+	m.wscale = []uint8{7, 8, 9, 5, 2}[weightedIdx(&rng, []float64{0.5, 0.2, 0.15, 0.1, 0.05})]
+	m.wsize = []uint16{28800, 65535, 64240, 14600, 29200}[weightedIdx(&rng, []float64{0.35, 0.25, 0.2, 0.1, 0.1})]
+	switch weightedIdx(&rng, []float64{0.52, 0.36, 0.04, 0.08}) {
 	case 0:
 		m.tsMode = tsMonotonic
 	case 1:
@@ -91,15 +75,22 @@ func newMachine(key uint64) machine {
 		m.tsMode = tsNone
 	}
 	m.tsBase = rng.Uint32()
-	m.tsHz = []uint32{1000, 250, 100}[weightedIdx(rng, []float64{0.6, 0.25, 0.15})]
+	m.tsHz = []uint32{1000, 250, 100}[weightedIdx(&rng, []float64{0.6, 0.25, 0.15})]
 	return m
 }
 
-func pickWeighted[T any](rng *rand.Rand, vals []T, w []float64) T {
+// machineITTL is newMachine(key).iTTL, the profile's first draw: all a
+// positive answer needs before a TCP fingerprint is emitted.
+func machineITTL(key uint64) uint8 {
+	rng := seedrand.New(int64(key))
+	return pickWeighted(&rng, ittlValues, ittlWeights)
+}
+
+func pickWeighted[T any](rng *seedrand.Source, vals []T, w []float64) T {
 	return vals[weightedIdx(rng, w)]
 }
 
-func weightedIdx(rng *rand.Rand, w []float64) int {
+func weightedIdx(rng *seedrand.Source, w []float64) int {
 	total := 0.0
 	for _, x := range w {
 		total += x

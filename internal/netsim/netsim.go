@@ -209,9 +209,6 @@ type Internet struct {
 	aliasRecords []AliasRecord
 	rdns         []ip6.Addr
 	key          uint64
-	// machines memoizes fingerprint profiles per machine key; the only
-	// state Probe mutates (append-only, race-free — see machineFor).
-	machines sync.Map // uint64 → machine
 	// batch holds the lazily compiled interval tables of the batched
 	// responder path (see batch.go).
 	batchOnce sync.Once
@@ -358,10 +355,9 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 //
 // Concurrency contract: Probe is safe for unlimited concurrent use once
 // New has returned. The world is immutable after construction — every
-// lookup structure (host map, alias trie, network trie) is read-only, all
-// per-probe variation derives from pure keyed hashes, and the only shared
-// mutable state is the machine-profile memo cache, which is append-only
-// and race-free (see machineFor). A probe's answer depends solely on its
+// lookup structure (host columns, alias trie, network trie) is read-only,
+// and all per-probe variation, machine profiles included, derives from
+// pure keyed functions. A probe's answer depends solely on its
 // arguments, never on probe ordering, so any interleaving of concurrent
 // callers observes identical responses. The concurrent scan engine in
 // internal/probe relies on this contract.
@@ -393,17 +389,18 @@ func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wir
 
 // rawResponse is the allocation-free internal probe answer shared by the
 // per-probe and batched paths: the OK flag, the hop limit, and — for TCP
-// probes — the responding machine profile plus the per-probe fingerprint
+// probes — the responding machine's key plus the per-probe fingerprint
 // deltas the alias quirks apply. materialize turns it into a wire.Response
 // (heap TCPInfo); the batch emitter writes it straight into result columns
-// with the fingerprint interned instead.
+// with the fingerprint interned instead. Both derive the machine profile
+// only then, so mask-only scans never pay for it.
 type rawResponse struct {
 	ok       bool
 	tcp      bool
 	hop      uint8
 	wsizeAdd uint16 // QuirkWSizeVary per-probe window delta
 	mssSub   uint16 // QuirkMSSVary per-address MSS delta
-	m        machine
+	mk       uint64 // machine key (see newMachine)
 	dstKey   uint64
 }
 
@@ -415,7 +412,8 @@ func (in *Internet) materialize(raw rawResponse, day int, at wire.Time) wire.Res
 	}
 	resp := wire.Response{OK: true, HopLimit: raw.hop}
 	if raw.tcp {
-		info := raw.m.tcpAnswer(raw.dstKey, day, at)
+		m := newMachine(raw.mk)
+		info := m.tcpAnswer(raw.dstKey, day, at)
 		info.WSize += raw.wsizeAdd
 		info.MSS -= raw.mssSub
 		resp.TCP = info
@@ -592,12 +590,11 @@ func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day in
 }
 
 // answerRaw builds a positive answer: hop limit plus, for TCP probes, the
-// machine whose fingerprint the response carries. Timestamp values and
-// TCPInfo materialization are deferred to the emitters (materialize for
-// the per-probe path, the column emitter in batch.go for the batched one).
+// machine whose fingerprint the response carries. The fingerprint itself
+// is deferred to the emitters (materialize for the per-probe path, the
+// column emitter in batch.go for the batched one).
 func (in *Internet) answerRaw(effKey, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool) rawResponse {
-	m := in.machineFor(effKey)
-	ittl := m.iTTL
+	ittl := machineITTL(effKey)
 	if ttlFlip && dstKey&1 == 1 {
 		if ittl == 64 {
 			ittl = 255
@@ -614,7 +611,7 @@ func (in *Internet) answerRaw(effKey, dstKey uint64, p wire.Proto, at wire.Time,
 	if ittl > hops {
 		hl = ittl - hops
 	}
-	return rawResponse{ok: true, tcp: p.IsTCP(), hop: hl, m: m, dstKey: dstKey}
+	return rawResponse{ok: true, tcp: p.IsTCP(), hop: hl, mk: effKey, dstKey: dstKey}
 }
 
 // networkOf returns the ID of the most-specific announcement covering
